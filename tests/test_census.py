@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -12,15 +13,19 @@ import pytest
 
 from steiner_ecc import (
     CapExceeded,
+    branch_vertices,
     canonical_form,
     enumerate_free_trees,
     from_prufer,
     group_trees,
+    is_caterpillar,
     report_to_csv,
     report_to_json,
     verify,
 )
+from steiner_ecc import census, cli, transforms
 from steiner_ecc.census import THEOREMS
+from steiner_ecc.steiner import aecc3
 
 from conftest import h_tree, path_tree, spider, star_tree
 
@@ -156,3 +161,108 @@ class TestReportSerialization:
             for ref in rec.argext:
                 t = from_edge_list([tuple(e) for e in ref.edges])
                 assert canonical_form(t) == ref.canonical
+
+
+# -- golden reports -------------------------------------------------------------------
+
+
+def _perturbed_aecc3(t):
+    """The true average, shifted so that every check except thm3_1 fails at n = 8.
+
+    Trees with exactly one branch vertex gain 1; caterpillars with two or more
+    branch vertices lose 1.
+    """
+    branches = len(branch_vertices(t))
+    if branches == 1:
+        return aecc3(t) + 1
+    if branches >= 2 and is_caterpillar(t):
+        return aecc3(t) - 1
+    return aecc3(t)
+
+
+@pytest.fixture
+def perturbed(monkeypatch):
+    monkeypatch.setattr(census, "aecc3", _perturbed_aecc3)
+    monkeypatch.setattr(transforms, "aecc3", _perturbed_aecc3)
+
+
+def _report_digest(theorem, orders):
+    h = hashlib.sha256()
+    for n in orders:
+        report = verify(theorem, n)
+        h.update(report_to_json(report).encode())
+        h.update(report_to_csv(report).encode())
+    return h.hexdigest()
+
+
+# SHA-256 over the JSON then CSV bytes of each report, n = 1..11 in order.
+GOLDEN_REPORTS = {
+    "thm1_1": "38db299c44f785f7bc23d28812686693c20e3de9364834f1db44838f5aef92ec",
+    "thm1_2": "aa169ded5c6ac7df9ca04f9f06b2853060ed7a9f05a1699655293324b00b609d",
+    "thm1_3": "85e11fee7526fca7f272274364e5596d3848bd539be14ee2d01a511d1b325edf",
+    "cor3_2": "bd5afd4a62624edc4668927f6e79ccd7be4ca427a5d3e3ec426aa76aed3fda84",
+    "cor3_3": "81248b40c0f45244fc49232ff2513b607ce465c7548b217d8f801d581173e939",
+    "cor3_4": "3d44768b6118e06001e1ca3bffb881779f57043bc1421b0c0dd64aee0f28fa17",
+    "cor3_5": "d0ee6b8984e2df9283e96ceebe949dbf21094f56395e9b005529b06f04ab43de",
+    "thm3_1": "dc4f7d98387a694823ff96de061508255b113c59fca885b8bb851e965877b7ed",
+    "cor3_6": "92ee9ce248c72e17e7a230d90cf7447857af81d2aa7c94a2762099635bf0d93f",
+    "sigma_mono": "69a522ff91828732209d7aa035878e56f1bd121443dec5576ab8d630a8689dd0",
+    "pi_mono": "a3c663e69070d783cf3b845eba33abca5d108e839d939e5f420dc402e2da1aa3",
+}
+
+# SHA-256 of ``verify --theorem X --n 8 --format text`` stdout.
+GOLDEN_TEXT = {
+    "thm1_1": "e38dce937f4a8ba43d5bebd2989a62e93aedf93c7b9e6bcef58ce8cdd5351c98",
+    "thm1_2": "6dc70db6f61ac23b08e348517077744c1f76a636e40347bb521932f19c17e4c4",
+    "thm1_3": "71c09a1e33dd676112ba106acb620ced2b6ce4f9bbf487ea76196007869a9392",
+    "cor3_2": "afe44f3761767b3c8b0b1a480f6a761837fd49290e731a0f2aff03cf8eceab91",
+    "cor3_3": "f615c5e1f8b7a44e271a5c7430ab7fc57b5b18c9df85ec8d1fc774c0ea542863",
+    "cor3_4": "34d46549762d952c4c7c3d6cf001a1474c38bbbb38be7d0d101032dd7c16a218",
+    "cor3_5": "c1191d9f3f9cb1f8ff13c6965015cbacc7112d2845a8d1b35f8dab5f8ea75a49",
+    "thm3_1": "11f36d0e57e2be81f884d2ab7322ec0117ec0da7f0d730361110d1953d841c13",
+    "cor3_6": "cd31b01d631cf2ea1d9d3e663013f89d1176a80eddbff867a6c87b602404a555",
+    "sigma_mono": "a3fbea9630b490181b33b7cdc79cbc9ff382548c8dad7c7ba17b9992ad6c4d44",
+    "pi_mono": "692a762822d3c9660821a94a082ec3ccc7243b41a39495e5751dfaf5f9589b97",
+}
+
+# As GOLDEN_REPORTS, at n = 7 and 8 under the perturbed average.
+GOLDEN_PERTURBED = {
+    "thm1_1": "cd5f75bb99e7ea17d06e89a9c22d23555558a17b37bfdf0f9162b99842830287",
+    "thm1_2": "ff5c5c0d59f2d0d3dd78d12f0af1149791ff438a80564fc20e74124a9356044b",
+    "thm1_3": "ff5e449f723c6e46ff7a71f14aef2fff3310fc6ea03773a1f870868c9d30edf8",
+    "cor3_2": "65e678b1b0cf025229c67b9cefff6753b5738a3411ddd10317315f5d5ef0b5f8",
+    "cor3_3": "53e3ad07a8753648af53a38c663c0e2f1a68cda2bf9bfd299809404856bb0325",
+    "cor3_4": "a47b8289bb0037c0ec741081ffb9c3a173b244d5853ae32ed7b1f81748334453",
+    "cor3_5": "7912743eaca89034d1e9db7b133673d0777990d1db3b114c0908c4861de88e7e",
+    "thm3_1": "2c0c08bb77c5ce5c3ec9c7e7ba4ccfd921e393fd992e66a28d9eef7199c4794a",
+    "cor3_6": "fb383ded64e6651ab9879aa8977843610f44883057483168dac5de3ffc486ee9",
+    "sigma_mono": "858f8b2c1c2ed0bb3a3f793f7e92e106388c3cff6c7ddf7420c429b605a585dc",
+    "pi_mono": "bfbb738f6dd20c8cd46dcf4e401009bafdd6c853f08d6b98d6a91fff59677fce",
+}
+
+# Failing records per check at n = 8 under the perturbed average.
+PERTURBED_FAILURES = {
+    "thm1_1": 10, "thm1_2": 4, "thm1_3": 3, "cor3_2": 1, "cor3_3": 5, "cor3_4": 3,
+    "cor3_5": 8, "thm3_1": 0, "cor3_6": 5, "sigma_mono": 1, "pi_mono": 11,
+}
+
+
+class TestGoldenReports:
+    """Every report byte is pinned, on the passing and the failing paths."""
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_reports_up_to_n11(self, theorem):
+        assert _report_digest(theorem, range(1, 12)) == GOLDEN_REPORTS[theorem]
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_text_output_at_n8(self, theorem, capsys):
+        code = cli.main(["verify", "--theorem", theorem, "--n", "8", "--format", "text"])
+        assert code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_TEXT[theorem]
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_failing_reports_under_perturbed_average(self, theorem, perturbed):
+        failures = [r for r in verify(theorem, 8).classes if not r.passed]
+        assert len(failures) == PERTURBED_FAILURES[theorem]
+        assert _report_digest(theorem, (7, 8)) == GOLDEN_PERTURBED[theorem]
