@@ -29,6 +29,24 @@ Check ids accepted by :func:`verify`:
 - ``sigma_mono`` every sigma site strictly increases the average and keeps
               the degree sequence.
 - ``pi_mono`` every pi site never increases the average.
+
+The seven class-wise checks (``thm1_1`` to ``cor3_5``) are rows of one
+table, ``_CLASS_CLAIMS``, checked by one record builder. A row gives:
+
+- ``keys``: the group keys from ``GROUP_KEYS``, outermost first; no key
+  puts every tree in the single class ``all``.
+- ``premise(n, outer)``: the detail of a vacuous record for an outermost
+  class outside the claim's premise, or None.
+- ``expected(n, members, *key values)``: the trees claimed to attain the
+  extremum.
+- ``claimed(n, expected, *key values)``: the claimed extremal value.
+- ``minimize``: min instead of max; a one-tree class is then vacuous.
+- ``unique``: the extremum must be attained by exactly one tree.
+- ``ties``: if set, the expected trees need only be among the extremal
+  ones, and the others are reported as ties with this phrase.
+
+``thm3_1`` and ``cor3_6`` compare pairs of closed forms; ``sigma_mono``
+and ``pi_mono`` run one per-tree loop over the sites of a move.
 """
 
 from __future__ import annotations
@@ -40,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceeded
+from .errors import BadCensusArgument, CapExceeded
 from .extremal import (
     _uniform_branch_sequence,
     balanced_star,
@@ -90,7 +108,7 @@ _FREE: list[tuple[Tree, ...]] = []  # _FREE[i] holds all free trees of order i+1
 def enumerate_free_trees(n: int, *, cap: int = DEFAULT_CAP) -> list[Tree]:
     """One representative per isomorphism class of n-vertex trees, sorted by canonical form."""
     if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+        raise BadCensusArgument(f"order must be >= 1, got {n}")
     if n > cap:
         raise CapExceeded(f"order {n} above the enumeration cap {cap}")
     while len(_FREE) < n:
@@ -121,7 +139,7 @@ def _group_key(key: str) -> Callable[[Tree], object]:
         return lambda t: max(t.degrees())
     if key == "count_max_degree":
         return lambda t: t.degrees().count(max(t.degrees()))
-    raise ValueError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
+    raise BadCensusArgument(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
 
 
 def group_trees(trees: Iterable[Tree], key: str) -> dict:
@@ -196,200 +214,161 @@ def _frac_str(f: Fraction | None) -> str | None:
 def verify(theorem: str, n: int, *, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Exhaustively check one named claim over all n-vertex trees."""
     if theorem not in THEOREMS:
-        raise ValueError(f"unknown check {theorem!r}; expected one of {THEOREMS}")
+        raise BadCensusArgument(f"unknown check {theorem!r}; expected one of {THEOREMS}")
     trees = enumerate_free_trees(n, cap=cap)
     if n < 3:
-        rec = ClassRecord(
-            key="all",
-            class_size=len(trees),
-            passed=True,
-            vacuous=True,
-            detail="order below 3: average 3-eccentricity undefined",
-        )
+        rec = _vacuous("all", len(trees), "order below 3: average 3-eccentricity undefined")
         return VerificationReport(theorem, n, True, (rec,), notes="vacuous")
     records = _VERIFIERS[theorem](trees, n)
     return VerificationReport(theorem, n, all(r.passed for r in records), tuple(records))
 
 
-def _extremal_class_record(
-    key: str,
-    members: list[Tree],
-    claimed: Fraction,
-    expected: list[Tree],
-    *,
-    minimize: bool = False,
-    require_unique: bool = False,
-    vacuous: bool = False,
-) -> ClassRecord:
-    values = {t: aecc3(t) for t in members}
-    best = min(values.values()) if minimize else max(values.values())
-    argext = [t for t in members if values[t] == best]
-    ok = best == claimed and _canon_set(argext) == _canon_set(expected)
-    if require_unique:
-        ok = ok and len(argext) == 1
-    detail = ""
-    if not ok:
-        word = "minimum" if minimize else "maximum"
-        detail = f"{word} {_frac_str(best)} or its attaining set deviates from the expected family"
+def _vacuous(key: str, class_size: int, detail: str) -> ClassRecord:
+    return ClassRecord(key=key, class_size=class_size, passed=True, vacuous=True, detail=detail)
+
+
+# -- class-wise claims: one table row each --------------------------------------------
+
+@dataclass(frozen=True)
+class _ClassClaim:
+    keys: tuple[str, ...]
+    claimed: Callable[..., Fraction]
+    expected: Callable[..., list[Tree]]
+    premise: Callable[..., str | None] = lambda n, *values: None
+    minimize: bool = False
+    unique: bool = False
+    ties: str = ""
+
+    def __call__(self, trees: list[Tree], n: int) -> list[ClassRecord]:
+        """One record per class; an outermost class outside the premise is one vacuous record."""
+        records = []
+        for outer, members in _classes(trees, self.keys[:1]):
+            reason = self.premise(n, *outer)
+            if reason:
+                records.append(_vacuous(_label(self.keys, outer), len(members), reason))
+                continue
+            for inner, sub in _classes(members, self.keys[1:]):
+                records.append(_class_record(self, n, sub, outer + inner))
+        return records
+
+
+_KEY_LABELS: dict[str, Callable[[object], str]] = {
+    "degree_seq": _seq_key,
+    "segment_seq": _seq_key,
+    "segment_count": "m={}".format,
+    "max_degree": "delta={}".format,
+    "count_max_degree": "k={}".format,
+}
+
+
+def _label(keys: Sequence[str], values: tuple) -> str:
+    return ",".join(_KEY_LABELS[k](v) for k, v in zip(keys, values)) or "all"
+
+
+def _classes(trees: list[Tree], keys: Sequence[str]) -> list[tuple[tuple, list[Tree]]]:
+    """(key values, members) for each class, sorted outermost key first."""
+    if not keys:
+        return [((), trees)]
+    return [
+        ((value,) + rest, sub)
+        for value, members in sorted(group_trees(trees, keys[0]).items())
+        for rest, sub in _classes(members, keys[1:])
+    ]
+
+
+def _class_record(claim: _ClassClaim, n: int, members: list[Tree], values: tuple) -> ClassRecord:
+    expected = claim.expected(n, members, *values)
+    claimed = claim.claimed(n, expected, *values)
+    aecc = {t: aecc3(t) for t in members}
+    best = min(aecc.values()) if claim.minimize else max(aecc.values())
+    argext = [t for t in members if aecc[t] == best]
+    want, got = _canon_set(expected), _canon_set(argext)
+    ties = [t for t in argext if canonical_form(t) not in want] if claim.ties else []
+    if claim.ties:
+        ok = best == claimed and want <= got
+        detail = f"{len(ties)} {claim.ties}" if ties else ""
+    else:
+        ok = best == claimed and got == want and (len(argext) == 1 or not claim.unique)
+        word = "minimum" if claim.minimize else "maximum"
+        detail = "" if ok else (
+            f"{word} {_frac_str(best)} or its attaining set deviates from the expected family"
+        )
     return ClassRecord(
-        key=key,
+        key=_label(claim.keys, values),
         class_size=len(members),
         passed=ok,
-        vacuous=vacuous,
+        # a one-tree class cannot show that a minimum is attained only where claimed
+        vacuous=claim.minimize and len(members) == 1,
         extremal_value=best,
         claimed_value=claimed,
         argext=_refs(argext),
         expected=_refs(expected),
+        ties=_refs(ties),
         unique=len(argext) == 1,
         detail=detail,
     )
 
 
-def _verify_thm1_1(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for pi, members in sorted(group_trees(trees, "degree_seq").items()):
-        records.append(
-            _extremal_class_record(
-                _seq_key(pi),
-                members,
-                degree_sequence_bound(pi),
-                [t for t in members if is_caterpillar(t)],
-            )
-        )
-    return records
+def _caterpillars_with(members: list[Tree], pi: tuple[int, ...]) -> list[Tree]:
+    return [t for t in members if degree_sequence(t) == pi and is_caterpillar(t)]
 
 
-def _verify_thm1_2(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for seq, members in sorted(group_trees(trees, "segment_seq").items()):
-        records.append(
-            _extremal_class_record(
-                _seq_key(seq),
-                members,
-                aecc3(generalized_star(seq)),
-                [t for t in members if is_generalized_star(t)],
-                minimize=True,
-                require_unique=True,
-                vacuous=len(members) == 1,
-            )
-        )
-    return records
+def _max_degree_premise(n: int, delta: int) -> str | None:
+    return None if delta >= 3 else "maximum degree below 3: outside the family's premise"
 
 
-def _verify_thm1_3(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for m, members in sorted(group_trees(trees, "segment_count").items()):
-        star = balanced_star(n, m)
-        star_canon = canonical_form(star)
-        claimed = aecc3(star)
-        values = {t: aecc3(t) for t in members}
-        best = min(values.values())
-        argmin = [t for t in members if values[t] == best]
-        ties = [t for t in argmin if canonical_form(t) != star_canon]
-        ok = best == claimed and star_canon in _canon_set(argmin)
-        records.append(
-            ClassRecord(
-                key=f"m={m}",
-                class_size=len(members),
-                passed=ok,
-                vacuous=len(members) == 1,
-                extremal_value=best,
-                claimed_value=claimed,
-                argext=_refs(argmin),
-                expected=(_ref(star),),
-                ties=_refs(ties),
-                unique=len(argmin) == 1,
-                detail=f"{len(ties)} co-minimizer(s) beside the balanced star" if ties else "",
-            )
-        )
-    return records
+# The rows call package functions from lambdas, never hold them: every call
+# then looks the name up in this module, where a tracer (bench/tracing.py)
+# may have rebound it.
+_CLASS_CLAIMS: dict[str, _ClassClaim] = {
+    "thm1_1": _ClassClaim(
+        ("degree_seq",),
+        claimed=lambda n, expected, pi: degree_sequence_bound(pi),
+        expected=lambda n, ts, pi: [t for t in ts if is_caterpillar(t)],
+    ),
+    "thm1_2": _ClassClaim(
+        ("segment_seq",),
+        claimed=lambda n, expected, seq: aecc3(generalized_star(seq)),
+        expected=lambda n, ts, seq: [t for t in ts if is_generalized_star(t)],
+        minimize=True,
+        unique=True,
+    ),
+    "thm1_3": _ClassClaim(
+        ("segment_count",),
+        claimed=lambda n, expected, m: aecc3(expected[0]),
+        expected=lambda n, ts, m: [balanced_star(n, m)],
+        minimize=True,
+        ties="co-minimizer(s) beside the balanced star",
+    ),
+    "cor3_2": _ClassClaim(
+        (),
+        claimed=lambda n, expected: Fraction(n - 1),
+        expected=lambda n, ts: [from_edge_list([(i, i + 1) for i in range(n - 1)])],
+    ),
+    "cor3_3": _ClassClaim(
+        ("max_degree",),
+        claimed=lambda n, expected, delta: family_bound("tndelta", n, delta=delta),
+        expected=lambda n, ts, delta: _caterpillars_with(
+            ts, (delta,) + (2,) * (n - delta - 1) + (1,) * delta
+        ),
+        premise=_max_degree_premise,
+    ),
+    "cor3_4": _ClassClaim(
+        ("count_max_degree",),
+        claimed=lambda n, expected, k: family_bound("tnk", n, k=k),
+        expected=lambda n, ts, k: _caterpillars_with(ts, _uniform_branch_sequence(n, 3, k)),
+        premise=lambda n, k: None if 1 <= k <= n - 3 else f"count {k} outside the premise 1..{n - 3}",
+    ),
+    "cor3_5": _ClassClaim(
+        ("max_degree", "count_max_degree"),
+        claimed=lambda n, expected, delta, k: family_bound("tndeltak", n, delta=delta, k=k),
+        expected=lambda n, ts, delta, k: _caterpillars_with(ts, _uniform_branch_sequence(n, delta, k)),
+        premise=_max_degree_premise,
+    ),
+}
 
 
-def _verify_cor3_2(trees: list[Tree], n: int) -> list[ClassRecord]:
-    path = from_edge_list([(i, i + 1) for i in range(n - 1)])
-    return [
-        _extremal_class_record("all", list(trees), Fraction(n - 1), [path])
-    ]
-
-
-def _verify_cor3_3(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for delta, members in sorted(group_trees(trees, "max_degree").items()):
-        if delta < 3:
-            records.append(
-                ClassRecord(
-                    key=f"delta={delta}",
-                    class_size=len(members),
-                    passed=True,
-                    vacuous=True,
-                    detail="maximum degree below 3: outside the family's premise",
-                )
-            )
-            continue
-        pi = (delta,) + (2,) * (n - delta - 1) + (1,) * delta
-        records.append(
-            _extremal_class_record(
-                f"delta={delta}",
-                members,
-                family_bound("tndelta", n, delta=delta),
-                [t for t in members if degree_sequence(t) == pi and is_caterpillar(t)],
-            )
-        )
-    return records
-
-
-def _verify_cor3_4(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for k, members in sorted(group_trees(trees, "count_max_degree").items()):
-        if not 1 <= k <= n - 3:
-            records.append(
-                ClassRecord(
-                    key=f"k={k}",
-                    class_size=len(members),
-                    passed=True,
-                    vacuous=True,
-                    detail=f"count {k} outside the premise 1..{n - 3}",
-                )
-            )
-            continue
-        pi = _uniform_branch_sequence(n, 3, k)
-        records.append(
-            _extremal_class_record(
-                f"k={k}",
-                members,
-                family_bound("tnk", n, k=k),
-                [t for t in members if degree_sequence(t) == pi and is_caterpillar(t)],
-            )
-        )
-    return records
-
-
-def _verify_cor3_5(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for delta, members in sorted(group_trees(trees, "max_degree").items()):
-        if delta < 3:
-            records.append(
-                ClassRecord(
-                    key=f"delta={delta}",
-                    class_size=len(members),
-                    passed=True,
-                    vacuous=True,
-                    detail="maximum degree below 3: outside the family's premise",
-                )
-            )
-            continue
-        for k, sub in sorted(group_trees(members, "count_max_degree").items()):
-            pi = _uniform_branch_sequence(n, delta, k)
-            records.append(
-                _extremal_class_record(
-                    f"delta={delta},k={k}",
-                    sub,
-                    family_bound("tndeltak", n, delta=delta, k=k),
-                    [t for t in sub if degree_sequence(t) == pi and is_caterpillar(t)],
-                )
-            )
-    return records
-
+# -- pairwise and per-tree checks ---------------------------------------------------
 
 def _verify_thm3_1(trees: list[Tree], n: int) -> list[ClassRecord]:
     seqs = sorted(k for k in group_trees(trees, "degree_seq") if k[0] >= 3)
@@ -413,17 +392,7 @@ def _verify_thm3_1(trees: list[Tree], n: int) -> list[ClassRecord]:
                     detail="" if ok else "majorization does not order the class maxima as required",
                 )
             )
-    if not records:
-        records.append(
-            ClassRecord(
-                key="all",
-                class_size=0,
-                passed=True,
-                vacuous=True,
-                detail="no comparable degree-sequence pairs with largest degree >= 3",
-            )
-        )
-    return records
+    return records or [_vacuous("all", 0, "no comparable degree-sequence pairs with largest degree >= 3")]
 
 
 def _verify_cor3_6(trees: list[Tree], n: int) -> list[ClassRecord]:
@@ -450,31 +419,18 @@ def _verify_cor3_6(trees: list[Tree], n: int) -> list[ClassRecord]:
                         detail="" if ok else "lowering the branch degree must strictly raise the maximum",
                     )
                 )
-    if not records:
-        records.append(
-            ClassRecord(
-                key="all",
-                class_size=0,
-                passed=True,
-                vacuous=True,
-                detail="no feasible (delta, k) with delta >= 4",
-            )
-        )
-    return records
+    return records or [_vacuous("all", 0, "no feasible (delta, k) with delta >= 4")]
 
 
-def _verify_sigma_mono(trees: list[Tree], n: int) -> list[ClassRecord]:
+def _site_records(
+    trees: list[Tree], find_sites: Callable, move: Callable, failures: Callable
+) -> list[ClassRecord]:
+    """One record per tree: apply the move at every site and collect the failures."""
     records = []
     for t in trees:
-        sites = find_sigma_sites(t)
-        failures = []
-        for site in sites:
-            out = sigma_transform(t, site)
-            if out.aecc3_after <= out.aecc3_before:
-                failures.append(f"no strict increase at {site}")
-            if degree_sequence(out.after) != degree_sequence(t):
-                failures.append(f"degree sequence changed at {site}")
-        ok = not failures
+        sites = find_sites(t)
+        found = [msg for site in sites for msg in failures(t, site, move(t, site))]
+        ok = not found
         records.append(
             ClassRecord(
                 key=canonical_form(t),
@@ -482,82 +438,43 @@ def _verify_sigma_mono(trees: list[Tree], n: int) -> list[ClassRecord]:
                 passed=ok,
                 vacuous=not sites,
                 argext=() if ok else (_ref(t),),
-                detail=f"{len(sites)} site(s)" if ok else "; ".join(failures),
+                detail=f"{len(sites)} site(s)" if ok else "; ".join(found),
             )
         )
     return records
 
 
-def _verify_pi_mono(trees: list[Tree], n: int) -> list[ClassRecord]:
-    records = []
-    for t in trees:
-        sites = find_pi_sites(t)
-        failures = []
-        for site in sites:
-            out = pi_transform(t, site)
-            if out.aecc3_after > out.aecc3_before:
-                failures.append(f"average increased at {site}")
-        ok = not failures
-        records.append(
-            ClassRecord(
-                key=canonical_form(t),
-                class_size=1,
-                passed=ok,
-                vacuous=not sites,
-                argext=() if ok else (_ref(t),),
-                detail=f"{len(sites)} site(s)" if ok else "; ".join(failures),
-            )
-        )
-    return records
+def _sigma_failures(t: Tree, site, out) -> Iterable[str]:
+    if out.aecc3_after <= out.aecc3_before:
+        yield f"no strict increase at {site}"
+    if degree_sequence(out.after) != degree_sequence(t):
+        yield f"degree sequence changed at {site}"
+
+
+def _pi_failures(t: Tree, site, out) -> Iterable[str]:
+    if out.aecc3_after > out.aecc3_before:
+        yield f"average increased at {site}"
 
 
 _VERIFIERS: dict[str, Callable[[list[Tree], int], list[ClassRecord]]] = {
-    "thm1_1": _verify_thm1_1,
-    "thm1_2": _verify_thm1_2,
-    "thm1_3": _verify_thm1_3,
-    "cor3_2": _verify_cor3_2,
-    "cor3_3": _verify_cor3_3,
-    "cor3_4": _verify_cor3_4,
-    "cor3_5": _verify_cor3_5,
+    **_CLASS_CLAIMS,
     "thm3_1": _verify_thm3_1,
     "cor3_6": _verify_cor3_6,
-    "sigma_mono": _verify_sigma_mono,
-    "pi_mono": _verify_pi_mono,
+    "sigma_mono": lambda ts, n: _site_records(ts, find_sigma_sites, sigma_transform, _sigma_failures),
+    "pi_mono": lambda ts, n: _site_records(ts, find_pi_sites, pi_transform, _pi_failures),
 }
 
 
 # -- serialization -------------------------------------------------------------------
 
-def _ref_dict(r: TreeRef) -> dict:
-    return {"canonical": r.canonical, "edges": [list(e) for e in r.edges]}
-
-
-def _record_dict(r: ClassRecord) -> dict:
-    return {
-        "key": r.key,
-        "class_size": r.class_size,
-        "passed": r.passed,
-        "vacuous": r.vacuous,
-        "extremal_value": _frac_str(r.extremal_value),
-        "claimed_value": _frac_str(r.claimed_value),
-        "argext": [_ref_dict(x) for x in r.argext],
-        "expected": [_ref_dict(x) for x in r.expected],
-        "ties": [_ref_dict(x) for x in r.ties],
-        "unique": r.unique,
-        "detail": r.detail,
-    }
+def _json_value(x: object) -> object:
+    """Fractions as p/q strings; reports and their records as their fields."""
+    return _frac_str(x) if isinstance(x, Fraction) else vars(x)
 
 
 def report_to_json(report: VerificationReport) -> str:
     """Deterministic JSON rendering (same report, same bytes)."""
-    doc = {
-        "theorem": report.theorem,
-        "n": report.n,
-        "passed": report.passed,
-        "notes": report.notes,
-        "classes": [_record_dict(r) for r in report.classes],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_value) + "\n"
 
 
 def report_to_csv(report: VerificationReport) -> str:

@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import census, extremal, transforms
+from .census import _frac_str
 from .errors import (
     AlreadyBalanced,
     BadK,
@@ -64,13 +65,9 @@ EXIT_TRANSFORM = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_CAP = 6
 
-_INPUT_ERRORS = (ParseError, TreeBuildError, TooSmall, BadK, EmptySet, ValueError)
+_INPUT_ERRORS = (ParseError, TreeBuildError, TooSmall, BadK, EmptySet)
 _INFEASIBLE_ERRORS = (Infeasible, InfeasibleSequence, LengthMismatch, SumMismatch, Incomparable)
 _TRANSFORM_ERRORS = (InvalidSite, NotGeneralizedStar, AlreadyBalanced)
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _frac_line(f: Fraction) -> str:
@@ -326,7 +323,7 @@ def _cmd_verify(args) -> int:
               f"{'PASS' if report.passed else 'FAIL'}")
         for r in report.classes:
             status = "pass" if r.passed else "FAIL"
-            value = census._frac_str(r.extremal_value) or "-"
+            value = _frac_str(r.extremal_value) or "-"
             extra = f" [{r.detail}]" if r.detail else ""
             print(f"  {status} {r.key}: value={value} size={r.class_size}{extra}")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

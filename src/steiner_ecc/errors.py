@@ -2,7 +2,10 @@
 
 Every error raised on purpose derives from :class:`SteinerEccError`, so
 callers (notably the CLI) can map failure classes to exit codes without
-enumerating individual exceptions.
+enumerating individual exceptions. A bare ``ValueError`` or any other
+built-in exception is a bug, never bad input. The errors for an argument
+outside a function's domain also derive from ``ValueError``, so callers
+that catch ``ValueError`` for them keep working.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ class BadCode(TreeBuildError):
     """Pruefer code entry out of range."""
 
 
+class BadAdjacency(TreeBuildError, ValueError):
+    """Adjacency lists are unsorted or not symmetric."""
+
+
+class InvalidPath(SteinerEccError, ValueError):
+    """A vertex sequence is not a simple path of the tree."""
+
+
 class ParseError(SteinerEccError):
     """A text input file could not be parsed.
 
@@ -63,6 +74,10 @@ class EmptySet(SteinerEccError):
 
 class CapExceeded(SteinerEccError):
     """Requested order exceeds the configured enumeration / brute-force cap."""
+
+
+class BadCensusArgument(SteinerEccError, ValueError):
+    """Census order below 1, or an unknown check id or group key."""
 
 
 # -- transformations ---------------------------------------------------------
@@ -99,3 +114,7 @@ class SumMismatch(SteinerEccError):
 
 class Incomparable(SteinerEccError):
     """Neither sequence majorizes the other."""
+
+
+class UnsortedSequence(SteinerEccError, ValueError):
+    """A sequence that must be non-increasing is not."""

@@ -28,6 +28,7 @@ from .errors import (
     InfeasibleSequence,
     LengthMismatch,
     SumMismatch,
+    UnsortedSequence,
 )
 from .tree import Tree, from_edge_list
 
@@ -219,7 +220,7 @@ def family_bound(
 
 def _check_non_increasing(seq: tuple[int, ...], name: str) -> None:
     if any(a < b for a, b in zip(seq, seq[1:])):
-        raise ValueError(f"{name} {seq} is not sorted non-increasing")
+        raise UnsortedSequence(f"{name} {seq} is not sorted non-increasing")
 
 
 def majorizes(x: Sequence[int], y: Sequence[int]) -> bool:

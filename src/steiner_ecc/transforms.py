@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlreadyBalanced, InvalidSite, NotGeneralizedStar
+from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
 from .tree import (
     Tree,
@@ -134,7 +134,7 @@ def find_sigma_sites(t: Tree) -> list[SigmaSite]:
 def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
     try:
         path = check_path(t, site.path)
-    except ValueError as exc:
+    except InvalidPath as exc:
         raise InvalidSite(str(exc)) from None
     d = len(path) - 1
     if d != diameter(t):
@@ -227,7 +227,7 @@ def _side_eccentricity(t: Tree, end: int, toward: int) -> int:
 def _validate_pi_site(t: Tree, site: PiSite) -> tuple[int, int]:
     try:
         path = check_path(t, site.path)
-    except ValueError as exc:
+    except InvalidPath as exc:
         raise InvalidSite(str(exc)) from None
     if len(path) < 2:
         raise InvalidSite("pi path needs at least one edge")

@@ -21,9 +21,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadAdjacency,
     BadCode,
     BadVertexIds,
     HasCycle,
+    InvalidPath,
     NotConnected,
     ParseError,
     TooSmall,
@@ -107,9 +109,9 @@ def _validate_adjacency(adj: tuple[tuple[int, ...], ...]) -> None:
             if v == prev:
                 raise HasCycle(f"duplicate edge ({u}, {v})")
             if v < prev:
-                raise ValueError(f"adjacency of vertex {u} is not sorted")
+                raise BadAdjacency(f"adjacency of vertex {u} is not sorted")
             if u not in adj[v]:
-                raise ValueError(f"adjacency not symmetric at edge ({u}, {v})")
+                raise BadAdjacency(f"adjacency not symmetric at edge ({u}, {v})")
             prev = v
         deg_total += len(ns)
     edge_count = deg_total // 2
@@ -361,14 +363,14 @@ def check_path(t: Tree, p: Sequence[int]) -> tuple[int, ...]:
     """Validate a path (distinct vertices, consecutive adjacency) and return it as a tuple."""
     path = tuple(p)
     if not path:
-        raise ValueError("empty path")
+        raise InvalidPath("empty path")
     for v in path:
         t.check_vertex(v)
     if len(set(path)) != len(path):
-        raise ValueError(f"path {path!r} repeats a vertex")
+        raise InvalidPath(f"path {path!r} repeats a vertex")
     for a, b in zip(path, path[1:]):
         if b not in t.adjacency[a]:
-            raise ValueError(f"path {path!r}: vertices {a} and {b} are not adjacent")
+            raise InvalidPath(f"path {path!r}: vertices {a} and {b} are not adjacent")
     return path
 
 

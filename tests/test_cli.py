@@ -6,8 +6,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from steiner_ecc import canonical_form, is_caterpillar, parse_edge_list_text
+from steiner_ecc import census, canonical_form, is_caterpillar, parse_edge_list_text
 from steiner_ecc.cli import main
 
 from conftest import path_tree, spider
@@ -221,3 +222,18 @@ def test_verify_failure_exits_5(capsys, monkeypatch):
 
 def test_verify_above_cap_exits_6(capsys):
     assert main(["verify", "--theorem", "thm1_1", "--n", "20"]) == 6
+
+
+def test_domain_errors_exit_2(capsys):
+    assert main(["enumerate", "--n", "0"]) == 2
+    assert main(["verify", "--theorem", "thm1_1", "--n", "0"]) == 2
+    assert main(["majorize", "1,2", "2,1"]) == 2
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        return max([])
+
+    monkeypatch.setattr(census, "verify", broken)
+    with pytest.raises(ValueError):
+        main(["verify", "--theorem", "thm1_1", "--n", "5"])
