@@ -42,8 +42,8 @@ table, ``_CLASS_CLAIMS``, checked by one record builder. A row gives:
 - ``claimed(n, expected, *key values)``: the claimed extremal value.
 - ``minimize``: min instead of max; a one-tree class is then vacuous.
 - ``unique``: the extremum must be attained by exactly one tree.
-- ``ties``: if set, the expected trees need only be among the extremal
-  ones, and the others are reported as ties with this phrase.
+- ``ties``: if set, names the expected trees; they need only be among the
+  extremal ones, and the others are reported as ties beside them.
 
 ``thm3_1`` and ``cor3_6`` compare pairs of closed forms; ``sigma_mono``
 and ``pi_mono`` run one per-tree loop over the sites of a move.
@@ -284,12 +284,19 @@ def _class_record(claim: _ClassClaim, n: int, members: list[Tree], values: tuple
     argext = [t for t in members if aecc[t] == best]
     want, got = _canon_set(expected), _canon_set(argext)
     ties = [t for t in argext if canonical_form(t) not in want] if claim.ties else []
+    word, role = ("minimum", "minimizer") if claim.minimize else ("maximum", "maximizer")
     if claim.ties:
         ok = best == claimed and want <= got
-        detail = f"{len(ties)} {claim.ties}" if ties else ""
+        parts = []
+        if best != claimed:
+            parts.append(f"{word} {_frac_str(best)} differs from the claimed {_frac_str(claimed)}")
+        if not want <= got:
+            parts.append(f"{claim.ties} is not among the {role}s")
+        if ties:
+            parts.append(f"{len(ties)} co-{role}(s) beside {claim.ties}")
+        detail = "; ".join(parts)
     else:
         ok = best == claimed and got == want and (len(argext) == 1 or not claim.unique)
-        word = "minimum" if claim.minimize else "maximum"
         detail = "" if ok else (
             f"{word} {_frac_str(best)} or its attaining set deviates from the expected family"
         )
@@ -338,7 +345,7 @@ _CLASS_CLAIMS: dict[str, _ClassClaim] = {
         claimed=lambda n, expected, m: aecc3(expected[0]),
         expected=lambda n, ts, m: [balanced_star(n, m)],
         minimize=True,
-        ties="co-minimizer(s) beside the balanced star",
+        ties="the balanced star",
     ),
     "cor3_2": _ClassClaim(
         (),

@@ -30,9 +30,7 @@ from . import census, extremal, transforms
 from .census import _frac_str
 from .errors import (
     AlreadyBalanced,
-    BadK,
     CapExceeded,
-    EmptySet,
     Incomparable,
     Infeasible,
     InfeasibleSequence,
@@ -42,8 +40,6 @@ from .errors import (
     ParseError,
     SteinerEccError,
     SumMismatch,
-    TooSmall,
-    TreeBuildError,
 )
 from .steiner import aecc3, ecc3_all
 from .tree import (
@@ -65,9 +61,13 @@ EXIT_TRANSFORM = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_CAP = 6
 
-_INPUT_ERRORS = (ParseError, TreeBuildError, TooSmall, BadK, EmptySet)
-_INFEASIBLE_ERRORS = (Infeasible, InfeasibleSequence, LengthMismatch, SumMismatch, Incomparable)
-_TRANSFORM_ERRORS = (InvalidSite, NotGeneralizedStar, AlreadyBalanced)
+# The first row whose classes match picks the exit code; any other package
+# error is bad input.
+_EXIT_CODES = (
+    ((InvalidSite, NotGeneralizedStar, AlreadyBalanced), EXIT_TRANSFORM),
+    ((CapExceeded,), EXIT_CAP),
+    ((Infeasible, InfeasibleSequence, LengthMismatch, SumMismatch, Incomparable), EXIT_INFEASIBLE),
+)
 
 
 def _frac_line(f: Fraction) -> str:
@@ -396,21 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _TRANSFORM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSFORM
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SteinerEccError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), EXIT_INPUT)
 
 
 def run() -> None:

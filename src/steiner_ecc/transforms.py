@@ -36,7 +36,6 @@ from .tree import (
     branch_vertices,
     diameter,
     diametric_path,
-    from_edge_list,
     check_path,
     segments,
 )
@@ -104,6 +103,17 @@ class TransformOutcome:
         return self.aecc3_after - self.aecc3_before
 
 
+def _rehang(t: Tree, src: int, dst: int, moved: list[int]) -> Tree:
+    """``t`` with every vertex of ``moved`` detached from ``src`` and attached to ``dst``."""
+    adj = list(t.adjacency)
+    gone = set(moved)
+    adj[src] = tuple(w for w in adj[src] if w not in gone)
+    adj[dst] = tuple(sorted(adj[dst] + tuple(moved)))
+    for w in moved:
+        adj[w] = tuple(sorted(dst if x == src else x for x in adj[w]))
+    return Tree(adj)
+
+
 # -- sigma ---------------------------------------------------------------------
 
 def find_sigma_sites(t: Tree) -> list[SigmaSite]:
@@ -158,11 +168,7 @@ def sigma_transform(t: Tree, site: SigmaSite) -> TransformOutcome:
     vk = site.attach_vertex
     vd = site.receiver
     y = site.subtree_root
-    moved = [w for w in t.adjacency[y] if w != vk]
-    drop = {(min(y, w), max(y, w)) for w in moved}
-    edges = [e for e in t.edges() if e not in drop]
-    edges.extend((min(vd, w), max(vd, w)) for w in moved)
-    after = from_edge_list(edges)
+    after = _rehang(t, y, vd, [w for w in t.adjacency[y] if w != vk])
     return TransformOutcome(
         before=t,
         after=after,
@@ -249,13 +255,7 @@ def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
     path = site.path
     u, v = path[0], path[-1]
     moved = [w for w in t.adjacency[u] if w != path[1]]
-    if moved:
-        drop = {(min(u, w), max(u, w)) for w in moved}
-        edges = [e for e in t.edges() if e not in drop]
-        edges.extend((min(v, w), max(v, w)) for w in moved)
-        after = from_edge_list(edges)
-    else:
-        after = t  # donor end is a leaf: nothing to move
+    after = _rehang(t, u, v, moved) if moved else t  # a leaf donor moves nothing
     before_val = aecc3(t)
     return TransformOutcome(
         before=t,
@@ -342,9 +342,7 @@ def rebalance_step(t: Tree) -> TransformOutcome:
     longest = max(legs, key=lambda s: (len(s), -s[-1]))
     shortest = min(legs, key=lambda s: (len(s), s[-1]))
     moved, detach, attach = longest[-1], longest[-2], shortest[-1]
-    edges = [e for e in t.edges() if e != (min(moved, detach), max(moved, detach))]
-    edges.append((min(moved, attach), max(moved, attach)))
-    after = from_edge_list(edges)
+    after = _rehang(t, detach, attach, [moved])
     return TransformOutcome(
         before=t,
         after=after,

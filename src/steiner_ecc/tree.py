@@ -7,9 +7,10 @@ Conventions shared by the whole package:
 - A path is a tuple of vertex ids in visiting order; consecutive entries are
   adjacent and all entries are distinct.
 - Degree sequences and segment sequences are non-increasing tuples of ints.
-- :class:`Tree` is immutable once built. The all-pairs distance matrix, the
-  canonical form and the per-vertex Steiner 3-eccentricities are cached on
-  first use; recomputation is idempotent, so concurrent readers are safe.
+- :class:`Tree` is immutable once built; its linear-time validation alone
+  decides what is a tree. The distance matrix, the canonical form and the
+  per-vertex ``ecc3`` values are cached on first use; recomputation is
+  idempotent, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .errors import (
     ParseError,
     TooSmall,
 )
-
-# Below this order, n plain BFS passes beat the cost of building a sparse
-# matrix for scipy; above it, the compiled path wins clearly.
-_SCIPY_MIN_N = 48
 
 
 class Tree:
@@ -98,7 +95,8 @@ def _validate_adjacency(adj: tuple[tuple[int, ...], ...]) -> None:
     n = len(adj)
     if n == 0:
         raise BadVertexIds("a tree has at least one vertex")
-    deg_total = 0
+    # u ascends, so reversed lists come out sorted; symmetric iff they match.
+    reverse: list[list[int]] = [[] for _ in range(n)]
     for u, ns in enumerate(adj):
         prev = -1
         for v in ns:
@@ -110,11 +108,12 @@ def _validate_adjacency(adj: tuple[tuple[int, ...], ...]) -> None:
                 raise HasCycle(f"duplicate edge ({u}, {v})")
             if v < prev:
                 raise BadAdjacency(f"adjacency of vertex {u} is not sorted")
-            if u not in adj[v]:
-                raise BadAdjacency(f"adjacency not symmetric at edge ({u}, {v})")
+            reverse[v].append(u)
             prev = v
-        deg_total += len(ns)
-    edge_count = deg_total // 2
+    for v, ns in enumerate(adj):
+        if tuple(reverse[v]) != ns:
+            raise BadAdjacency(f"adjacency not symmetric at vertex {v}")
+    edge_count = sum(map(len, adj)) // 2
     if edge_count > n - 1:
         raise HasCycle(f"{edge_count} edges on {n} vertices")
     if edge_count < n - 1:
@@ -147,15 +146,8 @@ def from_edge_list(edges: Iterable[Sequence[int]]) -> Tree:
         raise HasCycle(f"{len(pairs)} edges on at most {n} vertices")
     if len(pairs) < n - 1:
         raise NotConnected(f"{len(pairs)} edges cannot connect {n} vertices")
-    seen = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
-        if u == v:
-            raise HasCycle(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise HasCycle(f"duplicate edge {key}")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
     return Tree(tuple(sorted(ns)) for ns in adj)
@@ -270,24 +262,37 @@ def _bfs_parents(adj, source):
 
 
 def _all_pairs(t: Tree) -> np.ndarray:
-    n = t.order
-    if n >= _SCIPY_MIN_N:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
+    """All-pairs distances from one pass over a DFS preorder.
 
-        degs = t.degrees()
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.fromiter(
-            (v for ns in t.adjacency for v in ns), dtype=np.int64, count=indptr[-1]
-        )
-        data = np.ones(indptr[-1], dtype=np.int8)
-        mat = csr_matrix((data, indices, indptr), shape=(n, n))
-        out = shortest_path(mat, directed=False, unweighted=True).astype(np.int64)
-    else:
-        out = np.array(
-            [_bfs_distances(t.adjacency, v) for v in range(n)], dtype=np.int64
-        )
+    With columns in preorder every subtree is a contiguous block, so a child's
+    row is its parent's row plus 1, minus 2 across the child's own block.
+    """
+    adj = t.adjacency
+    n = len(adj)
+    parent = [-1] * n
+    parent[0] = 0
+    depth = [0] * n
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in adj[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                depth[v] = depth[u] + 1
+                stack.append(v)
+    pos = np.argsort(order).tolist()  # the inverse permutation of order
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    out = np.empty((n, n), dtype=np.int64)
+    out[0] = [depth[v] for v in order]
+    for v in order[1:]:
+        row = out[v]
+        np.add(out[parent[v]], 1, out=row)
+        row[pos[v] : pos[v] + size[v]] -= 2
+    out = np.take(out, pos, axis=1)  # columns back in vertex order, C-contiguous
     out.setflags(write=False)
     return out
 
@@ -506,9 +511,10 @@ def _rooted_encoding(t: Tree, root: int) -> str:
             if parent[v] == -1:
                 parent[v] = u
                 order.append(v)
-    enc = [""] * t.order
+    # Popping each child's string once its parent's is built keeps memory linear.
+    enc: dict[int, str] = {}
     for u in reversed(order):
-        kids = sorted(enc[v] for v in adj[u] if v != parent[u])
+        kids = sorted(enc.pop(v) for v in adj[u] if v != parent[u])
         enc[u] = "(" + "".join(kids) + ")"
     return enc[root]
 

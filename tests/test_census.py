@@ -233,7 +233,7 @@ GOLDEN_TEXT = {
 GOLDEN_PERTURBED = {
     "thm1_1": "cd5f75bb99e7ea17d06e89a9c22d23555558a17b37bfdf0f9162b99842830287",
     "thm1_2": "ff5c5c0d59f2d0d3dd78d12f0af1149791ff438a80564fc20e74124a9356044b",
-    "thm1_3": "ff5e449f723c6e46ff7a71f14aef2fff3310fc6ea03773a1f870868c9d30edf8",
+    "thm1_3": "d455b234c84ddfa153c931a95fc76413c8711ae67d885e0b0f7efce8bb2f89f9",
     "cor3_2": "65e678b1b0cf025229c67b9cefff6753b5738a3411ddd10317315f5d5ef0b5f8",
     "cor3_3": "53e3ad07a8753648af53a38c663c0e2f1a68cda2bf9bfd299809404856bb0325",
     "cor3_4": "a47b8289bb0037c0ec741081ffb9c3a173b244d5853ae32ed7b1f81748334453",
@@ -270,3 +270,11 @@ class TestGoldenReports:
         failures = [r for r in verify(theorem, 8).classes if not r.passed]
         assert len(failures) == PERTURBED_FAILURES[theorem]
         assert _report_digest(theorem, (7, 8)) == GOLDEN_PERTURBED[theorem]
+
+    def test_failing_tie_record_says_what_failed_first(self, perturbed):
+        record = next(r for r in verify("thm1_3", 8).classes if r.key == "m=5")
+        assert not record.passed
+        assert record.detail == (
+            "minimum 9/2 differs from the claimed 45/8; the balanced star is not among"
+            " the minimizers; 4 co-minimizer(s) beside the balanced star"
+        )

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -237,3 +240,18 @@ def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch):
     monkeypatch.setattr(census, "verify", broken)
     with pytest.raises(ValueError):
         main(["verify", "--theorem", "thm1_1", "--n", "5"])
+
+
+def test_compute_never_imports_scipy():
+    code = (
+        "import sys\n"
+        "from steiner_ecc import cli\n"
+        "assert cli.main(['compute', '--random', '200']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

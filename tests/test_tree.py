@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import time
+import tracemalloc
 from itertools import product
 
 import networkx as nx
@@ -15,7 +18,9 @@ from steiner_ecc import (
     HasCycle,
     NotConnected,
     ParseError,
+    SteinerEccError,
     TooSmall,
+    Tree,
     bfs_distances,
     canonical_form,
     center,
@@ -37,11 +42,13 @@ from steiner_ecc import (
     parse_prufer_text,
     path_eccentricity,
     radius,
+    random_tree,
     segment_sequence,
     segments,
     to_prufer,
     tree_path,
 )
+from steiner_ecc.errors import BadAdjacency
 
 from conftest import h_tree, path_tree, prufer_codes, relabel, spider, star_tree, trees
 
@@ -90,6 +97,57 @@ class TestConstruction:
     def test_trees_hash_by_labeled_structure(self):
         assert from_edge_list([(0, 1)]) == from_edge_list([(1, 0)])
         assert hash(path_tree(4)) == hash(path_tree(4))
+
+    # These edge lists have n - 1 edges, so they pass the count check and
+    # reach the validator.
+    def test_self_loop_with_right_edge_count_rejected(self):
+        with pytest.raises(HasCycle):
+            from_edge_list([(0, 0), (1, 2)])
+
+    def test_duplicate_edge_with_right_edge_count_rejected(self):
+        with pytest.raises(HasCycle):
+            from_edge_list([(0, 1), (0, 1), (2, 3)])
+
+
+class TestValidator:
+    def test_valid_adjacency_builds(self):
+        assert Tree(((1, 2), (0,), (0,))) == star_tree(3)
+
+    def test_asymmetric_adjacency_rejected(self):
+        with pytest.raises(BadAdjacency):
+            Tree(((1,), ()))
+
+    def test_unsorted_neighbors_rejected(self):
+        with pytest.raises(BadAdjacency):
+            Tree(((2, 1), (0,), (0,)))
+
+    def test_out_of_range_neighbor_rejected(self):
+        with pytest.raises(BadVertexIds):
+            Tree(((5,), (0,)))
+
+    def test_empty_adjacency_rejected(self):
+        with pytest.raises(BadVertexIds):
+            Tree(())
+
+
+# A star validates in linear time; a quadratic validator needs about a
+# minute on the star.
+LARGE_N = 10**5
+
+
+class TestLargeInputs:
+    @pytest.mark.parametrize("shape", ["star", "path", "random"])
+    def test_build_and_prufer_round_trip_within_10s(self, shape):
+        start = time.perf_counter()
+        if shape == "star":
+            t = from_edge_list([(0, i) for i in range(1, LARGE_N)])
+        elif shape == "path":
+            t = from_edge_list([(i, i + 1) for i in range(LARGE_N - 1)])
+        else:
+            t = random_tree(LARGE_N, random.Random(0))
+        assert from_prufer(to_prufer(t)) == t
+        assert t.order == LARGE_N
+        assert time.perf_counter() - start < 10
 
 
 class TestPrufer:
@@ -173,6 +231,18 @@ class TestDistances:
         assert len(diametric_path(t)) - 1 == diameter(t)
         assert radius(t) <= diameter(t) <= 2 * radius(t)
 
+    @pytest.mark.parametrize("shape", ["star", "path", "random"])
+    def test_matrix_rows_match_bfs_at_order_200(self, shape):
+        if shape == "random":
+            t = random_tree(200, random.Random(1))
+        else:
+            t = star_tree(200) if shape == "star" else path_tree(200)
+        matrix = t.distance_matrix()
+        assert matrix.shape == (200, 200) and matrix.flags.c_contiguous
+        assert not matrix.flags.writeable
+        for v in range(200):
+            assert matrix[v].tolist() == bfs_distances(t, v)
+
     def test_bfs_skip_edge_confines_to_component(self):
         t = path_tree(5)
         d = bfs_distances(t, 1, skip_edge=(1, 2))
@@ -252,6 +322,16 @@ class TestStructure:
 
 
 class TestCanonicalForm:
+    def test_path_of_20000_peaks_under_16_mb(self):
+        t = path_tree(20000)
+        tracemalloc.start()
+        try:
+            canonical_form(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_relabeled_paths_match(self):
         assert canonical_form(path_tree(4)) == canonical_form(relabel(path_tree(4), [3, 1, 0, 2]))
 
@@ -312,3 +392,12 @@ class TestTextFormats:
     def test_prufer_text_bad_entry(self):
         with pytest.raises(ParseError):
             parse_prufer_text("0,9\n")
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789 ,-#\n")))
+    @settings(max_examples=300)
+    def test_arbitrary_text_raises_only_package_errors(self, text):
+        for parse in (parse_edge_list_text, parse_prufer_text):
+            try:
+                assert isinstance(parse(text), Tree)
+            except SteinerEccError:
+                pass
