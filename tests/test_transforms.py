@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,15 @@ from steiner_ecc import (
     aecc3,
     balance_generalized_star,
     balanced_star,
+    bfs_distances,
+    broom,
     degree_sequence,
     degree_sequence_bound,
     diametric_path,
+    enumerate_free_trees,
     find_pi_sites,
     find_sigma_sites,
+    format_edge_list,
     is_caterpillar,
     is_generalized_star,
     is_isomorphic,
@@ -29,10 +34,12 @@ from steiner_ecc import (
     reduce_to_caterpillar,
     reduce_to_generalized_star,
     segment_sequence,
+    segments,
     sigma_transform,
 )
+from steiner_ecc import cli
 
-from conftest import h_tree, path_tree, spider, star_tree, trees
+from conftest import h_tree, path_tree, random_trees, spider, star_tree, trees
 
 
 class TestSigmaSites:
@@ -230,3 +237,97 @@ class TestRebalance:
     def test_segment_count_preserved(self):
         for out in balance_generalized_star(spider(6, 1, 1, 1)):
             assert len(segment_sequence(out.after)) == 4
+
+
+# SHA-256 of ``transform MODE --format json`` for the five modes below, in
+# order: exit code, stdout and stderr of each run.
+GOLDEN_MODES = ("sigma", "pi", "sigma-reduce", "star-reduce", "balance")
+GOLDEN_TRANSFORMS = {
+    "random 9 seed 1": "e8ced4f6571bcae53f758dbce256cb09eda9d3a440163533688f043f27bcec84",
+    "random 9 seed 2": "89aa44a0b93d94493686c291473c27830dda1beef47e5f898bb5e15deaa6f352",
+    "random 12 seed 1": "65340a8105655a4dd122e0928a52baad5182be9f7e7c7a846e585322c7602c5a",
+    "random 12 seed 2": "6c4f7ccd1a96f59bea5c47a03f5befe348eb5130e16252fceca8b42e54a39936",
+    "random 30 seed 1": "fec0a1f151a808feb2e916f94f58cf27f97717498f7efd069be0bde18a030713",
+    "random 30 seed 2": "0dbeefacb2d65ed04487ee86d4776415b0daa64849918c3fb66f242f54ab86aa",
+    "random 60 seed 1": "d029293a7007b8e65b732e85a506799d8109b6da943e3a91ed849899beafaee6",
+    "random 60 seed 2": "336adf8313fc746b2b485cc1de54b41c90ceb1cc38cf2d978a872c3ac2effb95",
+    "broom 40 5": "31c1b642c53d09b1a1958e420885605abc2075977662c230de7cb9b2dc347eb3",
+}
+
+# SHA-256 over the three chains (sigma, pi, then balance from the pi chain's
+# end) on ``random_trees(50, 3, 4, 60)``: each step's after-tree adjacency,
+# description and both averages.
+GOLDEN_CHAINS = "d4263c0c56b1a47138129d053cc02c6fc12eaefe775a8f1af860d6d1baaa2885"
+
+
+def _transform_args(label, tmp_path):
+    kind, n, *rest = label.split()
+    if kind == "broom":
+        path = tmp_path / "broom.txt"
+        path.write_text(format_edge_list(broom(int(n), int(rest[0]))))
+        return ["--input", str(path)]
+    return ["--random", n, "--seed", rest[1]]
+
+
+class TestGoldenSurgeries:
+    """The bytes of every transform mode and the steps of every chain are pinned."""
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_TRANSFORMS))
+    def test_transform_json(self, label, tmp_path, capsys):
+        args = _transform_args(label, tmp_path)
+        h = hashlib.sha256()
+        for mode in GOLDEN_MODES:
+            code = cli.main(["transform", mode, *args, "--format", "json"])
+            captured = capsys.readouterr()
+            h.update(f"{code}\n".encode())
+            h.update(captured.out.encode())
+            h.update(captured.err.encode())
+        assert h.hexdigest() == GOLDEN_TRANSFORMS[label]
+
+    def test_chains_on_random_trees(self):
+        h = hashlib.sha256()
+        for t in random_trees(50, 3, 4, 60):
+            to_star = reduce_to_generalized_star(t)
+            star = to_star[-1].after if to_star else t
+            for chain in (reduce_to_caterpillar(t), to_star, balance_generalized_star(star)):
+                h.update(b"chain\n")
+                for out in chain:
+                    h.update(repr((out.after.adjacency, out.description,
+                                   str(out.aecc3_before), str(out.aecc3_after))).encode())
+        assert h.hexdigest() == GOLDEN_CHAINS
+
+
+def _pi_sites_by_definition(t):
+    """Every subpath of every segment, oriented by both side eccentricities."""
+    if t.order < 3:
+        return []
+    sites = []
+    for seg in segments(t):
+        for i in range(len(seg) - 1):
+            for j in range(i + 1, len(seg)):
+                sub = seg[i : j + 1]
+                e_start = max(bfs_distances(t, sub[0], skip_edge=(sub[0], sub[1])))
+                e_end = max(bfs_distances(t, sub[-1], skip_edge=(sub[-1], sub[-2])))
+                if e_end >= e_start:
+                    sites.append(PiSite(sub))
+                if e_start >= e_end:
+                    sites.append(PiSite(sub[::-1]))
+    return sites
+
+
+class TestPiSiteOracle:
+    """``find_pi_sites`` equals the by-definition scan, site for site and in order."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_free_tree(self, n):
+        for t in enumerate_free_trees(n):
+            assert find_pi_sites(t) == _pi_sites_by_definition(t)
+
+    def test_random_trees(self):
+        for t in random_trees(50, 11, 2, 40):
+            assert find_pi_sites(t) == _pi_sites_by_definition(t)
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_brooms(self, delta):
+        t = broom(30, delta)
+        assert find_pi_sites(t) == _pi_sites_by_definition(t)
