@@ -212,10 +212,10 @@ def _cmd_transform(args) -> int:
             raise InvalidSite("no sigma site on this tree")
         chain = [transforms.sigma_transform(t, sites[0])]
     elif mode == "pi":
-        sites = transforms.find_pi_sites(t)
-        if not sites:
+        site = next(transforms._pi_sites(t), None)
+        if site is None:
             raise InvalidSite("no pi site on this tree")
-        chain = [transforms.pi_transform(t, sites[0])]
+        chain = [transforms.pi_transform(t, site)]
     elif mode == "sigma-reduce":
         chain = transforms.reduce_to_caterpillar(t)
     elif mode == "star-reduce":

@@ -21,12 +21,20 @@ to the balanced one without increasing the average.
 
 Every application returns a :class:`TransformOutcome` carrying both trees
 and their exact averages, so monotonicity can be re-audited independently.
+
+Site search cost: ``find_sigma_sites`` scans the neighbors of one diametric
+path, read off the cached distance matrix. ``find_pi_sites`` runs two O(n)
+BFS per segment, one from each end: a segment's interior vertices have
+degree 2, so the side eccentricities of every subpath's ends follow from the
+segment's own two. The rest is output: a segment of L vertices yields up to
+L(L-1) sites of up to L vertices each. ``transform pi`` stops at the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
@@ -103,6 +111,19 @@ class TransformOutcome:
         return self.aecc3_after - self.aecc3_before
 
 
+def _outcome(t: Tree, after: Tree, site, description: str) -> TransformOutcome:
+    return TransformOutcome(t, after, site, description, aecc3(t), aecc3(after))
+
+
+def _chain(t: Tree, step) -> list[TransformOutcome]:
+    """Apply ``step`` to each result until it returns None."""
+    outcomes = []
+    while (out := step(t)) is not None:
+        outcomes.append(out)
+        t = out.after
+    return outcomes
+
+
 def _rehang(t: Tree, src: int, dst: int, moved: list[int]) -> Tree:
     """``t`` with every vertex of ``moved`` detached from ``src`` and attached to ``dst``."""
     adj = list(t.adjacency)
@@ -169,15 +190,8 @@ def sigma_transform(t: Tree, site: SigmaSite) -> TransformOutcome:
     vd = site.receiver
     y = site.subtree_root
     after = _rehang(t, y, vd, [w for w in t.adjacency[y] if w != vk])
-    return TransformOutcome(
-        before=t,
-        after=after,
-        site=site,
-        description=(
-            f"sigma: moved branch behind {y} (off path vertex {vk}) to endpoint {vd}"
-        ),
-        aecc3_before=aecc3(t),
-        aecc3_after=aecc3(after),
+    return _outcome(
+        t, after, site, f"sigma: moved branch behind {y} (off path vertex {vk}) to endpoint {vd}"
     )
 
 
@@ -188,39 +202,20 @@ def reduce_to_caterpillar(t: Tree) -> list[TransformOutcome]:
     vertex adjacent to the fixed diametric path donates, and the path
     endpoint farther from it receives (smaller endpoint id on ties).
     """
-    outcomes = []
-    cur = t
-    while True:
+    def step(cur: Tree) -> TransformOutcome | None:
         site = _caterpillar_reduction_site(cur)
-        if site is None:
-            return outcomes
-        out = sigma_transform(cur, site)
-        outcomes.append(out)
-        cur = out.after
+        return None if site is None else sigma_transform(cur, site)
+
+    return _chain(t, step)
 
 
 def _caterpillar_reduction_site(t: Tree) -> SigmaSite | None:
-    if t.order < 3:
-        return None
-    p = diametric_path(t)
-    d = len(p) - 1
-    on_path = set(p)
-    candidates = [
-        (y, k)
-        for k in range(1, d)
-        for y in t.adjacency[p[k]]
-        if y not in on_path and t.degree(y) >= 2
-    ]
-    if not candidates:
-        return None
-    y, k = min(candidates)
-    if d - k > k:
-        path = p
-    elif k > d - k:
-        path, k = p[::-1], d - k
-    else:
-        path = p if p[-1] < p[0] else p[::-1]
-    return SigmaSite(path, k, y)
+    site = min(find_sigma_sites(t), key=lambda s: s.subtree_root, default=None)
+    if site is not None and 2 * site.attach_index == len(site.path) - 1:
+        # At the midpoint the path starts at its smaller endpoint; flip it so
+        # that endpoint receives.
+        site = SigmaSite(site.path[::-1], site.attach_index, site.subtree_root)
+    return site
 
 
 # -- pi ------------------------------------------------------------------------
@@ -230,7 +225,12 @@ def _side_eccentricity(t: Tree, end: int, toward: int) -> int:
     return max(d for d in bfs_distances(t, end, skip_edge=(end, toward)) if d >= 0)
 
 
-def _validate_pi_site(t: Tree, site: PiSite) -> tuple[int, int]:
+def _end_heights(t: Tree, seg: tuple[int, ...]) -> tuple[int, int]:
+    """Side eccentricities of the two ends of ``seg``, each away from the segment."""
+    return _side_eccentricity(t, seg[0], seg[1]), _side_eccentricity(t, seg[-1], seg[-2])
+
+
+def _validate_pi_site(t: Tree, site: PiSite) -> None:
     try:
         path = check_path(t, site.path)
     except InvalidPath as exc:
@@ -246,7 +246,6 @@ def _validate_pi_site(t: Tree, site: PiSite) -> tuple[int, int]:
         raise InvalidSite(
             f"receiver side eccentricity {receiver_ecc} below donor side {donor_ecc}"
         )
-    return donor_ecc, receiver_ecc
 
 
 def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
@@ -256,14 +255,8 @@ def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
     u, v = path[0], path[-1]
     moved = [w for w in t.adjacency[u] if w != path[1]]
     after = _rehang(t, u, v, moved) if moved else t  # a leaf donor moves nothing
-    before_val = aecc3(t)
-    return TransformOutcome(
-        before=t,
-        after=after,
-        site=site,
-        description=f"pi: slid {len(moved)} branch(es) from {u} to {v} along {path}",
-        aecc3_before=before_val,
-        aecc3_after=before_val if after is t else aecc3(after),
+    return _outcome(
+        t, after, site, f"pi: slid {len(moved)} branch(es) from {u} to {v} along {path}"
     )
 
 
@@ -274,21 +267,26 @@ def find_pi_sites(t: Tree) -> list[PiSite]:
     both are returned. Trees of order < 3 have no sites (their averages are
     undefined).
     """
+    return list(_pi_sites(t))
+
+
+def _pi_sites(t: Tree) -> Iterator[PiSite]:
+    """The sites of :func:`find_pi_sites`, in its order, one at a time."""
     if t.order < 3:
-        return []
-    sites = []
+        return
     for seg in segments(t):
         m = len(seg)
+        h_first, h_last = _end_heights(t, seg)
         for i in range(m - 1):
             for j in range(i + 1, m):
+                # Cutting seg[i..j] leaves seg[i] the path back to seg[0] plus
+                # seg[0]'s side, and seg[j] likewise toward seg[-1].
                 sub = seg[i : j + 1]
-                e_start = _side_eccentricity(t, sub[0], sub[1])
-                e_end = _side_eccentricity(t, sub[-1], sub[-2])
+                e_start, e_end = i + h_first, m - 1 - j + h_last
                 if e_end >= e_start:
-                    sites.append(PiSite(sub))
+                    yield PiSite(sub)
                 if e_start >= e_end:
-                    sites.append(PiSite(sub[::-1]))
-    return sites
+                    yield PiSite(sub[::-1])
 
 
 def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
@@ -298,31 +296,23 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
     endpoint pair goes first; the end whose component is shallower donates
     (smaller id on ties). The segment sequence is preserved throughout.
     """
-    outcomes = []
-    cur = t
-    while True:
+    def step(cur: Tree) -> TransformOutcome | None:
         branches = set(branch_vertices(cur))
         if len(branches) <= 1:
-            return outcomes
+            return None
         seg = min(
             (s for s in segments(cur) if s[0] in branches and s[-1] in branches),
             key=lambda s: (s[0], s[-1]),
         )
-        e_lo = _side_eccentricity(cur, seg[0], seg[1])
-        e_hi = _side_eccentricity(cur, seg[-1], seg[-2])
+        e_lo, e_hi = _end_heights(cur, seg)
         # Donor = shallower side; segments come oriented smaller-end first,
         # so ties donate from the smaller id as-is.
-        site = PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1])
-        out = pi_transform(cur, site)
-        outcomes.append(out)
-        cur = out.after
+        return pi_transform(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
+
+    return _chain(t, step)
 
 
 # -- leg rebalancing -----------------------------------------------------------
-
-def _legs(t: Tree, center_vertex: int) -> list[tuple[int, ...]]:
-    return [s if s[0] == center_vertex else s[::-1] for s in segments(t)]
-
 
 def rebalance_step(t: Tree) -> TransformOutcome:
     """Move the tip of the longest leg to the tip of the shortest leg.
@@ -335,21 +325,20 @@ def rebalance_step(t: Tree) -> TransformOutcome:
         raise NotGeneralizedStar(f"{len(branches)} branch vertices")
     if t.order < 2:
         raise AlreadyBalanced("single vertex has no legs")
-    seq = sorted((len(s) - 1 for s in segments(t)), reverse=True)
+    segs = segments(t)
+    seq = sorted((len(s) - 1 for s in segs), reverse=True)
     if seq[0] - seq[-1] <= 1:
         raise AlreadyBalanced(f"leg lengths {tuple(seq)} differ by at most one")
-    legs = _legs(t, branches[0])
+    # Two legs differ by at least 2, so the tree is no path: one branch vertex.
+    legs = [s if s[0] == branches[0] else s[::-1] for s in segs]
     longest = max(legs, key=lambda s: (len(s), -s[-1]))
     shortest = min(legs, key=lambda s: (len(s), s[-1]))
     moved, detach, attach = longest[-1], longest[-2], shortest[-1]
-    after = _rehang(t, detach, attach, [moved])
-    return TransformOutcome(
-        before=t,
-        after=after,
-        site=RebalanceMove(moved, detach, attach),
-        description=f"rebalance: moved tip {moved} from leg end {detach} to leg end {attach}",
-        aecc3_before=aecc3(t),
-        aecc3_after=aecc3(after),
+    return _outcome(
+        t,
+        _rehang(t, detach, attach, [moved]),
+        RebalanceMove(moved, detach, attach),
+        f"rebalance: moved tip {moved} from leg end {detach} to leg end {attach}",
     )
 
 
@@ -357,12 +346,11 @@ def balance_generalized_star(t: Tree) -> list[TransformOutcome]:
     """Rebalance until all leg lengths differ by at most one."""
     if len(branch_vertices(t)) > 1:
         raise NotGeneralizedStar("input has more than one branch vertex")
-    outcomes = []
-    cur = t
-    while True:
+
+    def step(cur: Tree) -> TransformOutcome | None:
         try:
-            out = rebalance_step(cur)
+            return rebalance_step(cur)
         except AlreadyBalanced:
-            return outcomes
-        outcomes.append(out)
-        cur = out.after
+            return None
+
+    return _chain(t, step)

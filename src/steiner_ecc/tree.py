@@ -248,17 +248,14 @@ def _bfs_distances(adj, source, skip_edge=None):
     return dist
 
 
-def _bfs_parents(adj, source):
-    parent = [-1] * len(adj)
-    parent[source] = source
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                q.append(v)
-    return parent
+def _walk_back(adj, dist, u, v):
+    """The u-v path, stepping from v to the neighbor one closer to u each time."""
+    out = [v]
+    while v != u:
+        v = next(w for w in adj[v] if dist[w] == dist[v] - 1)
+        out.append(v)
+    out.reverse()
+    return tuple(out)
 
 
 def _all_pairs(t: Tree) -> np.ndarray:
@@ -324,12 +321,7 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique path from u to v, inclusive."""
     t.check_vertex(u)
     t.check_vertex(v)
-    parent = _bfs_parents(t.adjacency, u)
-    out = [v]
-    while out[-1] != u:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return tuple(out)
+    return _walk_back(t.adjacency, _bfs_distances(t.adjacency, u), u, v)
 
 
 def diametric_path(t: Tree) -> tuple[int, ...]:
@@ -351,13 +343,9 @@ def diametric_path(t: Tree) -> tuple[int, ...]:
         far = far[far > u]
         if far.size == 0:
             continue
-        parent = _bfs_parents(t.adjacency, u)
-        for v in far:
-            out = [int(v)]
-            while out[-1] != u:
-                out.append(parent[out[-1]])
-            out.reverse()
-            cand = tuple(out)
+        row = D[u].tolist()
+        for v in far.tolist():
+            cand = _walk_back(t.adjacency, row, u, v)
             if best is None or cand < best:
                 best = cand
     assert best is not None

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ import pytest
 from steiner_ecc import census, canonical_form, is_caterpillar, parse_edge_list_text
 from steiner_ecc.cli import main
 
-from conftest import path_tree, spider
+from conftest import h_tree, path_tree, spider
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -255,3 +256,24 @@ def test_compute_never_imports_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("mode, tree, message", [
+    ("rebalance", spider(2, 2, 2), "leg lengths (2, 2, 2) differ by at most one"),
+    ("rebalance", h_tree(), "2 branch vertices"),
+    ("pi", path_tree(2), "no pi site on this tree"),
+])
+def test_transform_errors_exit_4_with_their_text(tmp_path, capsys, mode, tree, message):
+    assert main(["transform", mode, "--input", write_tree(tmp_path, tree)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_transform_pi_stops_at_the_first_site(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["transform", "pi", "--format", "json",
+                 "--input", write_tree(tmp_path, path_tree(600))])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (step,) = json.loads(capsys.readouterr().out)["steps"]
+    assert step["site"].endswith("along (0, 1)")
+    assert elapsed < 10
