@@ -168,8 +168,9 @@ def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
     except InvalidPath as exc:
         raise InvalidSite(str(exc)) from None
     d = len(path) - 1
-    if d != diameter(t):
-        raise InvalidSite(f"path of length {d} is not diametric (diameter {diameter(t)})")
+    diam = diameter(t)
+    if d != diam:
+        raise InvalidSite(f"path of length {d} is not diametric (diameter {diam})")
     k = site.attach_index
     if not 1 <= k <= d // 2:
         raise InvalidSite(f"attach index {k} outside 1..{d // 2}")
@@ -251,6 +252,11 @@ def _validate_pi_site(t: Tree, site: PiSite) -> None:
 def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
     """Apply one pi move; raises InvalidSite if the site does not fit t."""
     _validate_pi_site(t, site)
+    return _apply_pi(t, site)
+
+
+def _apply_pi(t: Tree, site: PiSite) -> TransformOutcome:
+    """Apply one pi move at a site already known to be valid for t."""
     path = site.path
     u, v = path[0], path[-1]
     moved = [w for w in t.adjacency[u] if w != path[1]]
@@ -306,8 +312,9 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
         )
         e_lo, e_hi = _end_heights(cur, seg)
         # Donor = shallower side; segments come oriented smaller-end first,
-        # so ties donate from the smaller id as-is.
-        return pi_transform(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
+        # so ties donate from the smaller id as-is. The site is valid by
+        # construction, so it skips pi_transform's two validating BFS.
+        return _apply_pi(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
 
     return _chain(t, step)
 

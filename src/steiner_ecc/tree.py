@@ -11,6 +11,9 @@ Conventions shared by the whole package:
   decides what is a tree. The distance matrix, the canonical form and the
   per-vertex ``ecc3`` values are cached on first use; recomputation is
   idempotent, so concurrent readers are safe.
+- The distance matrix serves the distance queries below and the ``ecc3``
+  oracles; the production ``ecc3`` route, ``steiner.ecc3_all``, is a linear
+  pass over the adjacency and no longer needs the matrix.
 """
 
 from __future__ import annotations

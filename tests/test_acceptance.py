@@ -18,6 +18,7 @@ from steiner_ecc import (
     balance_generalized_star,
     canonical_form,
     degree_sequence,
+    ecc3_all,
     ecc3_fast,
     ecc3_via_lemma,
     ecc_k_bruteforce,
@@ -63,6 +64,7 @@ def test_criterion_01_oracle_equivalence(small_trees):
         for t in trees:
             for v in range(n):
                 want = ecc_k_bruteforce(t, v, 3)
+                assert ecc3_all(t)[v] == want
                 assert ecc3_fast(t, v) == want
                 assert ecc3_via_lemma(t, v) == want
                 checked_vertices += 1
@@ -76,9 +78,9 @@ def test_criterion_01_oracle_equivalence(small_trees):
     assert elapsed < 60.0
     _report(
         "01",
-        f"three ecc3 routes agree on {checked_vertices} vertices (n<=9) and the "
-        f"half-perimeter matches the spanning subtree on {checked_triples} triples "
-        f"(n<=7) in {elapsed:.1f}s",
+        f"ecc3_all, ecc3_fast and ecc3_via_lemma agree with brute force on "
+        f"{checked_vertices} vertices (n<=9) and the half-perimeter matches the "
+        f"spanning subtree on {checked_triples} triples (n<=7) in {elapsed:.1f}s",
     )
 
 

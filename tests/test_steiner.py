@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,12 +23,24 @@ from steiner_ecc import (
     ecc3_fast,
     ecc3_via_lemma,
     ecc_k_bruteforce,
+    enumerate_free_trees,
     from_edge_list,
+    from_prufer,
+    random_tree,
     steiner3_halfperimeter,
     steiner_distance,
 )
 
-from conftest import brute_aecc3, h_tree, path_tree, spider, star_tree, trees
+from conftest import (
+    brute_aecc3,
+    h_tree,
+    path_tree,
+    prufer_codes,
+    random_trees,
+    spider,
+    star_tree,
+    trees,
+)
 
 
 class TestSteinerDistance:
@@ -142,6 +156,48 @@ class TestEccentricityRoutes:
         v = data.draw(st.integers(0, t.order - 1))
         k = data.draw(st.integers(2, t.order - 1))
         assert ecc_k_bruteforce(t, v, k) <= ecc_k_bruteforce(t, v, k + 1)
+
+
+class TestLinearPass:
+    """ecc3_all, the production route, against the half-perimeter oracle."""
+
+    def test_every_free_tree_up_to_order_11(self):
+        for n in range(3, 12):
+            for t in enumerate_free_trees(n):
+                assert ecc3_all(t) == tuple(ecc3_fast(t, v) for v in range(n))
+
+    def test_seeded_random_trees_up_to_order_150(self):
+        for t in random_trees(300, 13, 3, 150):
+            assert ecc3_all(t) == tuple(ecc3_fast(t, v) for v in range(t.order))
+
+    @given(prufer_codes(min_n=3, max_n=60))
+    @settings(max_examples=100)
+    def test_random_pruefer_codes(self, code):
+        t = from_prufer(code)
+        assert ecc3_all(t) == tuple(ecc3_fast(t, v) for v in range(t.order))
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 30])
+    def test_path_closed_form(self, n):
+        assert ecc3_all(path_tree(n)) == (n - 1,) * n
+
+    @pytest.mark.parametrize("n", [4, 5, 12])
+    def test_star_closed_form(self, n):
+        assert ecc3_all(star_tree(n)) == (2,) + (3,) * (n - 1)
+
+    @pytest.mark.parametrize("shape", ["path", "star", "random"])
+    def test_order_1e5_is_linear_and_builds_no_matrix(self, shape):
+        n = 100_000
+        if shape == "path":
+            t, want = path_tree(n), Fraction(n - 1)
+        elif shape == "star":
+            t, want = star_tree(n), Fraction(3 * n - 1, n)
+        else:
+            t, want = random_tree(n, random.Random(0)), None
+        started = time.monotonic()
+        value = aecc3(t)
+        assert time.monotonic() - started < 10.0
+        assert t._dist is None
+        assert want is None or value == want
 
 
 class TestAverages:
