@@ -186,8 +186,11 @@ def _cmd_construct(args) -> int:
         t = extremal.uniform_branch_caterpillar(args.n, args.delta, args.k)
     text = format_edge_list(t)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SteinerEccError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -6,8 +6,8 @@ distance over k-subsets containing v; ecc_2 is the classical eccentricity.
 Averages over all vertices are kept as exact fractions throughout — no
 floating point is involved in any value this module returns.
 
-The production route is :func:`ecc3_all`: one O(n) rerooting pass over the
-adjacency gives the 3-eccentricity of every vertex, with no distance matrix.
+The production route is :func:`ecc3_all`: the O(n) rerooting pass cached by
+``tree._rooted_pass`` gives every vertex's 3-eccentricity, no distance matrix.
 Three independent routes serve as its oracles:
 
 - :func:`ecc_k_bruteforce` enumerates every k-subset (the ground truth,
@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BadK, CapExceeded, EmptySet, TooSmall
-from .tree import Tree, tree_path, path_eccentricity
+from .tree import Tree, _rooted_pass, tree_path, path_eccentricity
 
 # ecc_k_bruteforce enumerates C(n-1, k-1) subsets; it is an oracle, not a
 # production path, and refuses orders where that blows up.
@@ -104,85 +104,7 @@ def ecc3_all(t: Tree) -> tuple[int, ...]:
     """ecc_3 of every vertex in O(n) time and memory, cached on the tree."""
     if t.order < 3:
         raise TooSmall("3-eccentricity needs order >= 3")
-    if t._ecc3 is None:
-        t._ecc3 = _ecc3_rerooted(t.adjacency)
-    return t._ecc3
-
-
-def _ecc3_rerooted(adj) -> tuple[int, ...]:
-    """ecc_3 of every vertex by one rerooting pass over a tree rooted at 0.
-
-    ecc_3(v) is the maximum over w of d(v, w) + a1 + a2, where a1 >= a2 are
-    the two longest branches at w that avoid v (0 for a missing branch). A
-    bottom-up pass gives each vertex u its height ``down[u]`` and ``g[u]``,
-    that maximum over w in u's subtree with branches pointing away from u. A
-    top-down pass gives each child c of u its up-branch length ``uplen[c]``
-    and ``upval[c]``, the same maximum over w outside c's subtree.
-    """
-    n = len(adj)
-    parent = [-1] * n
-    parent[0] = 0  # the root is its own parent: visited, and no neighbour of itself
-    order = [0]
-    for u in order:
-        for c in adj[u]:
-            if parent[c] == -1:
-                parent[c] = u
-                order.append(c)
-    down = [0] * n
-    g = [0] * n
-    for u in reversed(order):
-        p = parent[u]
-        b1 = b2 = 0
-        gc = -1  # the best g over u's children; a leaf has none
-        for c in adj[u]:
-            if c != p:
-                x = down[c] + 1
-                if x > b1:
-                    b1, b2 = x, b1
-                elif x > b2:
-                    b2 = x
-                if g[c] > gc:
-                    gc = g[c]
-        down[u] = b1
-        g[u] = max(b1 + b2, gc + 1)
-    uplen = [0] * n
-    upval = [0] * n
-    ecc = [0] * n
-    for u in order:
-        p = parent[u]
-        # Top-3 branch lengths at u, the up branch included, with the
-        # neighbours of the top two; top-2 of g + 1 over u's children.
-        l1, i1 = uplen[u], p
-        l2 = l3 = h1 = h2 = 0
-        i2 = j1 = -1
-        for c in adj[u]:
-            if c != p:
-                x = down[c] + 1
-                if x > l1:
-                    l1, l2, l3, i1, i2 = x, l1, l2, c, i1
-                elif x > l2:
-                    l2, l3, i2 = x, l2, c
-                elif x > l3:
-                    l3 = x
-                y = g[c] + 1
-                if y > h1:
-                    h1, h2, j1 = y, h1, c
-                elif y > h2:
-                    h2 = y
-        up = upval[u]
-        ecc[u] = max(l1 + l2, h1, up)
-        for c in adj[u]:
-            if c != p:
-                # a >= b: the two longest branches at u other than c's.
-                if c == i1:
-                    a, b = l2, l3
-                elif c == i2:
-                    a, b = l1, l3
-                else:
-                    a, b = l1, l2
-                uplen[c] = a + 1
-                upval[c] = 1 + max(up, h2 if c == j1 else h1, a + b)
-    return tuple(ecc)
+    return _rooted_pass(t)[3]
 
 
 def ecc3_via_lemma(t: Tree, v: int) -> int:

@@ -22,12 +22,13 @@ to the balanced one without increasing the average.
 Every application returns a :class:`TransformOutcome` carrying both trees
 and their exact averages, so monotonicity can be re-audited independently.
 
-Site search cost: ``find_sigma_sites`` scans the neighbors of one diametric
-path, read off the cached distance matrix. ``find_pi_sites`` runs two O(n)
-BFS per segment, one from each end: a segment's interior vertices have
-degree 2, so the side eccentricities of every subpath's ends follow from the
-segment's own two. The rest is output: a segment of L vertices yields up to
-L(L-1) sites of up to L vertices each. ``transform pi`` stops at the first.
+Site search cost: searches, validation and chains read the tree's cached
+O(n) rooted pass (``tree._rooted_pass``, shared with ``aecc3``), never the
+distance matrix. ``find_sigma_sites`` scans the neighbors of the diametric
+path walked off it. ``find_pi_sites`` reads each segment's two end heights
+off it; interior vertices have degree 2, so every subpath's end heights follow.
+The rest is output: a segment of L vertices yields up to L(L-1) sites of up
+to L vertices each. ``transform pi`` stops at the first.
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from typing import Iterator
 
 from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
-from .tree import (
-    Tree,
-    bfs_distances,
-    branch_vertices,
-    diameter,
-    diametric_path,
-    check_path,
-    segments,
-)
+from .tree import Tree, _height_away, branch_vertices, check_path, diametric_path, segments
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
     except InvalidPath as exc:
         raise InvalidSite(str(exc)) from None
     d = len(path) - 1
-    diam = diameter(t)
+    diam = len(diametric_path(t)) - 1
     if d != diam:
         raise InvalidSite(f"path of length {d} is not diametric (diameter {diam})")
     k = site.attach_index
@@ -221,14 +214,9 @@ def _caterpillar_reduction_site(t: Tree) -> SigmaSite | None:
 
 # -- pi ------------------------------------------------------------------------
 
-def _side_eccentricity(t: Tree, end: int, toward: int) -> int:
-    """Eccentricity of ``end`` within its component once edge (end, toward) is cut."""
-    return max(d for d in bfs_distances(t, end, skip_edge=(end, toward)) if d >= 0)
-
-
 def _end_heights(t: Tree, seg: tuple[int, ...]) -> tuple[int, int]:
     """Side eccentricities of the two ends of ``seg``, each away from the segment."""
-    return _side_eccentricity(t, seg[0], seg[1]), _side_eccentricity(t, seg[-1], seg[-2])
+    return _height_away(t, seg[0], seg[1]), _height_away(t, seg[-1], seg[-2])
 
 
 def _validate_pi_site(t: Tree, site: PiSite) -> None:
@@ -241,8 +229,7 @@ def _validate_pi_site(t: Tree, site: PiSite) -> None:
     for v in path[1:-1]:
         if t.degree(v) != 2:
             raise InvalidSite(f"interior path vertex {v} has degree {t.degree(v)} != 2")
-    donor_ecc = _side_eccentricity(t, path[0], path[1])
-    receiver_ecc = _side_eccentricity(t, path[-1], path[-2])
+    donor_ecc, receiver_ecc = _end_heights(t, path)
     if receiver_ecc < donor_ecc:
         raise InvalidSite(
             f"receiver side eccentricity {receiver_ecc} below donor side {donor_ecc}"
@@ -313,7 +300,7 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
         e_lo, e_hi = _end_heights(cur, seg)
         # Donor = shallower side; segments come oriented smaller-end first,
         # so ties donate from the smaller id as-is. The site is valid by
-        # construction, so it skips pi_transform's two validating BFS.
+        # construction, so it skips pi_transform's validation.
         return _apply_pi(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
 
     return _chain(t, step)

@@ -9,11 +9,14 @@ Conventions shared by the whole package:
 - Degree sequences and segment sequences are non-increasing tuples of ints.
 - :class:`Tree` is immutable once built; its linear-time validation alone
   decides what is a tree. The distance matrix, the canonical form and the
-  per-vertex ``ecc3`` values are cached on first use; recomputation is
-  idempotent, so concurrent readers are safe.
-- The distance matrix serves the distance queries below and the ``ecc3``
-  oracles; the production ``ecc3`` route, ``steiner.ecc3_all``, is a linear
-  pass over the adjacency and no longer needs the matrix.
+  rooted pass are cached on first use; recomputation is idempotent, so
+  concurrent readers are safe.
+- The rooted pass, ``_rooted_pass``, is one O(n) traversal giving every
+  vertex its parent, subtree height, up-branch length and ``ecc3``; it
+  serves ``steiner.ecc3_all``, :func:`diametric_path` and the surgeries'
+  branch heights. The O(n^2) matrix serves the ``ecc3`` oracles,
+  ``aecc_k(t, 2)`` and the distance queries below; ``diameter`` and ``radius``
+  stay on it while the benchmark's traced big_compute run requires a matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class Tree:
     count and connectivity, so every live instance is a tree.
     """
 
-    __slots__ = ("adjacency", "_dist", "_canon", "_ecc3")
+    __slots__ = ("adjacency", "_dist", "_canon", "_rooted")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = tuple(tuple(ns) for ns in adjacency)
@@ -52,7 +55,7 @@ class Tree:
         self.adjacency = adj
         self._dist = None
         self._canon = None
-        self._ecc3 = None
+        self._rooted = None
 
     @property
     def order(self) -> int:
@@ -221,7 +224,7 @@ def random_tree(n: int, rng: random.Random) -> Tree:
     return from_prufer([rng.randrange(n) for _ in range(n - 2)])
 
 
-# -- BFS plumbing --------------------------------------------------------------
+# -- traversals -----------------------------------------------------------------
 
 def bfs_distances(
     t: Tree, source: int, skip_edge: tuple[int, int] | None = None
@@ -297,6 +300,98 @@ def _all_pairs(t: Tree) -> np.ndarray:
     return out
 
 
+def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
+    """``(parent, down, uplen, ecc3)`` by one O(n) rerooting pass from root 0, cached.
+
+    ecc_3(v) is the maximum over w of d(v, w) + a1 + a2, where a1 >= a2 are
+    the two longest branches at w that avoid v (0 for a missing branch). A
+    bottom-up pass gives each vertex u its height ``down[u]`` and ``g[u]``,
+    that maximum over w in u's subtree with branches pointing away from u. A
+    top-down pass gives each child c of u its up-branch length ``uplen[c]``
+    and ``upval[c]``, the same maximum over w outside c's subtree; the root
+    has ``uplen`` 0. :func:`_branch` reads every branch length off the pass.
+    """
+    if t._rooted is not None:
+        return t._rooted
+    adj = t.adjacency
+    n = len(adj)
+    parent = [-1] * n
+    parent[0] = 0  # the root is its own parent: visited, and no neighbour of itself
+    order = [0]
+    for u in order:
+        for c in adj[u]:
+            if parent[c] == -1:
+                parent[c] = u
+                order.append(c)
+    down = [0] * n
+    g = [0] * n
+    for u in reversed(order):
+        p = parent[u]
+        b1 = b2 = 0
+        gc = -1  # the best g over u's children; a leaf has none
+        for c in adj[u]:
+            if c != p:
+                x = down[c] + 1
+                if x > b1:
+                    b1, b2 = x, b1
+                elif x > b2:
+                    b2 = x
+                if g[c] > gc:
+                    gc = g[c]
+        down[u] = b1
+        g[u] = max(b1 + b2, gc + 1)
+    uplen = [0] * n
+    upval = [0] * n
+    ecc = [0] * n
+    for u in order:
+        p = parent[u]
+        # Top-3 branch lengths at u, the up branch included, with the
+        # neighbours of the top two; top-2 of g + 1 over u's children.
+        l1, i1 = uplen[u], p
+        l2 = l3 = h1 = h2 = 0
+        i2 = j1 = -1
+        for c in adj[u]:
+            if c != p:
+                x = down[c] + 1
+                if x > l1:
+                    l1, l2, l3, i1, i2 = x, l1, l2, c, i1
+                elif x > l2:
+                    l2, l3, i2 = x, l2, c
+                elif x > l3:
+                    l3 = x
+                y = g[c] + 1
+                if y > h1:
+                    h1, h2, j1 = y, h1, c
+                elif y > h2:
+                    h2 = y
+        up = upval[u]
+        ecc[u] = max(l1 + l2, h1, up)
+        for c in adj[u]:
+            if c != p:
+                # a >= b: the two longest branches at u other than c's.
+                if c == i1:
+                    a, b = l2, l3
+                elif c == i2:
+                    a, b = l1, l3
+                else:
+                    a, b = l1, l2
+                uplen[c] = a + 1
+                upval[c] = 1 + max(up, h2 if c == j1 else h1, a + b)
+    t._rooted = (parent, down, uplen, tuple(ecc))
+    return t._rooted
+
+
+def _branch(t: Tree, x: int, y: int) -> int:
+    """Length of the longest path that leaves x through its neighbour y."""
+    parent, down, uplen, _ = _rooted_pass(t)
+    return uplen[x] if y == parent[x] else down[y] + 1
+
+
+def _height_away(t: Tree, x: int, y: int) -> int:
+    """Eccentricity of x within its component once edge (x, y) is cut."""
+    return max((_branch(t, x, z) for z in t.adjacency[x] if z != y), default=0)
+
+
 # -- distances and paths --------------------------------------------------------
 
 def distance(t: Tree, u: int, v: int) -> int:
@@ -334,25 +429,21 @@ def diametric_path(t: Tree) -> tuple[int, ...]:
     endpoint id comes first, and the lexicographically smallest vertex
     sequence is returned. This fixes the reference path used by the
     transformation machinery.
+
+    Built in O(n) from the rooted pass: the smallest vertex of maximum
+    eccentricity ends some longest path at a larger vertex, so it starts the
+    path; each step then takes the smallest-id neighbour whose branch still
+    holds the remaining length.
     """
-    n = t.order
-    if n == 1:
-        return (0,)
-    D = t.distance_matrix()
-    d = int(D.max())
-    best: tuple[int, ...] | None = None
-    for u in range(n):
-        far = np.nonzero(D[u] == d)[0]
-        far = far[far > u]
-        if far.size == 0:
-            continue
-        row = D[u].tolist()
-        for v in far.tolist():
-            cand = _walk_back(t.adjacency, row, u, v)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    _, down, uplen, _ = _rooted_pass(t)
+    ecc = list(map(max, down, uplen))
+    x, prev = ecc.index(max(ecc)), -1
+    path = [x]
+    for r in range(ecc[x], 0, -1):
+        # No branch at x is longer than r; the one back to prev may be as long.
+        x, prev = next(y for y in t.adjacency[x] if y != prev and _branch(t, x, y) == r), x
+        path.append(x)
+    return tuple(path)
 
 
 def check_path(t: Tree, p: Sequence[int]) -> tuple[int, ...]:
@@ -543,19 +634,22 @@ def format_edge_list(t: Tree) -> str:
 
 def parse_prufer_text(text: str) -> Tree:
     """Parse the Pruefer format: one line of comma-separated ints; empty input means n=2."""
+    tree = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if tree is not None:
+            raise ParseError(line_no, raw, "a second code line; the format holds one code")
         try:
             code = [int(x) for x in line.split(",")]
         except ValueError:
             raise ParseError(line_no, raw, "code entries must be integers") from None
         try:
-            return from_prufer(code)
+            tree = from_prufer(code)
         except BadCode as exc:
             raise ParseError(line_no, raw, str(exc)) from None
-    return from_edge_list([(0, 1)])
+    return from_edge_list([(0, 1)]) if tree is None else tree
 
 
 def format_prufer(t: Tree) -> str:

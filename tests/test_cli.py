@@ -73,6 +73,14 @@ def test_compute_prufer_input(tmp_path, capsys):
     assert "aecc3: 11/4" in capsys.readouterr().out
 
 
+def test_compute_prufer_second_code_line_exits_2(tmp_path, capsys):
+    p = tmp_path / "code.txt"
+    p.write_text("0,0\n1,1\n")
+    code = main(["compute", "--input", str(p), "--input-format", "prufer"])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_construct_caterpillar_round_trips_through_compute(tmp_path, capsys):
     out_file = tmp_path / "cat.txt"
     code = main(["construct", "caterpillar", "--pi", "3,3,2,1,1,1,1",
@@ -81,6 +89,15 @@ def test_construct_caterpillar_round_trips_through_compute(tmp_path, capsys):
     code = main(["compute", "--input", str(out_file)])
     assert code == 0
     assert "aecc3: 32/7" in capsys.readouterr().out
+
+
+def test_construct_unwritable_output_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "cat.txt"
+    code = main(["construct", "broom", "--n", "7", "--delta", "3", "--output", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.out == "" and not out_file.exists()
 
 
 def test_construct_balanced_star(capsys):
@@ -139,6 +156,15 @@ def test_transform_balance_chain(tmp_path, capsys):
 def test_transform_rebalance_balanced_star_exits_4(tmp_path, capsys):
     code = main(["transform", "rebalance", "--input", write_tree(tmp_path, spider(2, 2, 2))])
     assert code == 4
+
+
+def test_transform_sigma_on_20000_vertices_within_20s(capsys):
+    start = time.perf_counter()
+    code = main(["transform", "sigma", "--random", "20000", "--seed", "0"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "step 1" in capsys.readouterr().out
+    assert elapsed < 20
 
 
 def test_transform_sigma_without_site_exits_4(tmp_path, capsys):

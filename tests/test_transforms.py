@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from steiner_ecc import (
     is_generalized_star,
     is_isomorphic,
     pi_transform,
+    random_tree,
     rebalance_step,
     reduce_to_caterpillar,
     reduce_to_generalized_star,
@@ -65,6 +68,22 @@ class TestSigmaSites:
         for site in find_sigma_sites(t):
             d = len(site.path) - 1
             assert 1 <= site.attach_index <= d // 2
+
+
+    @pytest.mark.parametrize("shape", ["star", "path", "random"])
+    def test_order_1e5_within_10s_builds_no_matrix(self, shape):
+        n = 100_000
+        if shape == "star":
+            t = star_tree(n)
+        elif shape == "path":
+            t = path_tree(n)
+        else:
+            t = random_tree(n, random.Random(0))
+        start = time.perf_counter()
+        sites = find_sigma_sites(t)
+        assert time.perf_counter() - start < 10
+        assert t._dist is None
+        assert (sites == []) == (shape != "random")
 
 
 class TestSigmaTransform:
@@ -119,6 +138,15 @@ class TestReduceToCaterpillar:
         assert aecc3(final) == degree_sequence_bound(degree_sequence(t))
         for out in chain:
             assert out.aecc3_after > out.aecc3_before
+
+
+    def test_order_1000_within_15s_builds_no_matrix(self):
+        t = random_tree(1000, random.Random(4))
+        start = time.perf_counter()
+        chain = reduce_to_caterpillar(t)
+        assert time.perf_counter() - start < 15
+        assert chain and is_caterpillar(chain[-1].after)
+        assert all(tree._dist is None for tree in [t] + [out.after for out in chain])
 
 
 class TestPiTransform:

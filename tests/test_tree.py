@@ -22,6 +22,7 @@ from steiner_ecc import (
     TooSmall,
     Tree,
     bfs_distances,
+    broom,
     canonical_form,
     center,
     degree_sequence,
@@ -30,6 +31,7 @@ from steiner_ecc import (
     distance,
     distance_to_path,
     eccentricity,
+    enumerate_free_trees,
     format_edge_list,
     format_prufer,
     from_edge_list,
@@ -49,8 +51,18 @@ from steiner_ecc import (
     tree_path,
 )
 from steiner_ecc.errors import BadAdjacency
+from steiner_ecc.tree import _height_away, check_path
 
-from conftest import h_tree, path_tree, prufer_codes, relabel, spider, star_tree, trees
+from conftest import (
+    h_tree,
+    path_tree,
+    prufer_codes,
+    random_trees,
+    relabel,
+    spider,
+    star_tree,
+    trees,
+)
 
 
 def to_nx(t):
@@ -148,6 +160,21 @@ class TestLargeInputs:
         assert from_prufer(to_prufer(t)) == t
         assert t.order == LARGE_N
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("shape", ["star", "path", "random"])
+    def test_diametric_path_within_10s_builds_no_matrix(self, shape):
+        if shape == "star":
+            t = star_tree(LARGE_N)
+        elif shape == "path":
+            t = path_tree(LARGE_N)
+        else:
+            t = random_tree(LARGE_N, random.Random(0))
+        start = time.perf_counter()
+        p = diametric_path(t)
+        assert time.perf_counter() - start < 10
+        assert t._dist is None
+        assert check_path(t, p) == p
+        assert len(p) - 1 == max(bfs_distances(t, p[0])) == max(bfs_distances(t, p[-1]))
 
 
 class TestPrufer:
@@ -247,6 +274,55 @@ class TestDistances:
         t = path_tree(5)
         d = bfs_distances(t, 1, skip_edge=(1, 2))
         assert d == [1, 0, -1, -1, -1]
+
+
+def _diametric_path_by_definition(t):
+    """The lexicographically smallest longest path with its smaller end first, by scanning all pairs."""
+    rows = [bfs_distances(t, u) for u in range(t.order)]
+    d = max(map(max, rows))
+    # v starts at u so that the one-vertex tree yields (0,); with d > 0 no u-u pair matches.
+    return min(tree_path(t, u, v) for u in range(t.order) for v in range(u, t.order)
+               if rows[u][v] == d)
+
+
+class TestDiametricPathOracle:
+    """``diametric_path`` equals the all-pairs scan, ties included."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_free_tree(self, n):
+        for t in enumerate_free_trees(n):
+            assert diametric_path(t) == _diametric_path_by_definition(t)
+
+    def test_random_trees(self):
+        for t in random_trees(300, 17, 2, 200):
+            assert diametric_path(t) == _diametric_path_by_definition(t)
+
+    def test_tie_heavy_shapes(self):
+        shapes = [star_tree(n) for n in (2, 3, 4, 9, 30)]
+        shapes += [spider(*legs) for legs in ((2, 2), (1,) * 5, (2, 2, 2), (3, 3, 1, 1),
+                                              (4,) * 4, (5, 3, 3, 2), (1, 3, 2, 3, 1))]
+        shapes += [broom(n, delta) for n, delta in ((6, 3), (12, 5), (20, 3), (30, 10), (40, 39))]
+        for t in shapes:
+            assert diametric_path(t) == _diametric_path_by_definition(t)
+
+
+class TestEndHeights:
+    """The height of x away from neighbour y, read off the rooted pass, equals the skip-edge BFS."""
+
+    @staticmethod
+    def _check(t):
+        for x in range(t.order):
+            for y in t.adjacency[x]:
+                assert _height_away(t, x, y) == max(bfs_distances(t, x, skip_edge=(x, y)))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_free_tree(self, n):
+        for t in enumerate_free_trees(n):
+            self._check(t)
+
+    def test_random_trees(self):
+        for t in random_trees(100, 19, 2, 80):
+            self._check(t)
 
 
 class TestPathOperations:
@@ -388,6 +464,12 @@ class TestTextFormats:
     def test_empty_prufer_text_is_two_vertices(self):
         assert parse_prufer_text("\n").order == 2
         assert parse_prufer_text("").order == 2
+
+    def test_prufer_text_second_code_line_rejected(self):
+        assert parse_prufer_text("# star\n0,0\n\n# done\n") == star_tree(4)
+        with pytest.raises(ParseError) as err:
+            parse_prufer_text("0,0\n# next\n1,1\n")
+        assert err.value.line_no == 3 and err.value.line == "1,1"
 
     def test_prufer_text_bad_entry(self):
         with pytest.raises(ParseError):
