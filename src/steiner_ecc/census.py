@@ -97,7 +97,24 @@ THEOREMS = (
     "pi_mono",
 )
 
-GROUP_KEYS = ("degree_seq", "segment_seq", "segment_count", "max_degree", "count_max_degree")
+
+def _seq_key(seq: Sequence[int]) -> str:
+    return ",".join(str(x) for x in seq)
+
+
+# Group key -> (key function, label of a key value in report class keys).
+# The key functions call package functions from lambdas, never hold them:
+# every call then looks the name up in this module, where a tracer
+# (bench/tracing.py) may have rebound it.
+_GROUPS: dict[str, tuple[Callable[[Tree], object], Callable[[object], str]]] = {
+    "degree_seq": (lambda t: degree_sequence(t), _seq_key),
+    "segment_seq": (lambda t: segment_sequence(t), _seq_key),
+    "segment_count": (lambda t: len(segment_sequence(t)), "m={}".format),
+    "max_degree": (lambda t: max(t.degrees()), "delta={}".format),
+    "count_max_degree": (lambda t: t.degrees().count(max(t.degrees())), "k={}".format),
+}
+
+GROUP_KEYS = tuple(_GROUPS)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -128,23 +145,11 @@ def _grow_level(n: int) -> tuple[Tree, ...]:
     return tuple(by_canon[c] for c in sorted(by_canon))
 
 
-def _group_key(key: str) -> Callable[[Tree], object]:
-    if key == "degree_seq":
-        return degree_sequence
-    if key == "segment_seq":
-        return segment_sequence
-    if key == "segment_count":
-        return lambda t: len(segment_sequence(t))
-    if key == "max_degree":
-        return lambda t: max(t.degrees())
-    if key == "count_max_degree":
-        return lambda t: t.degrees().count(max(t.degrees()))
-    raise BadCensusArgument(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
-
-
 def group_trees(trees: Iterable[Tree], key: str) -> dict:
     """Partition trees by the chosen key; every tree lands in exactly one class."""
-    fn = _group_key(key)
+    if key not in _GROUPS:
+        raise BadCensusArgument(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
+    fn = _GROUPS[key][0]
     out: dict = {}
     for t in trees:
         out.setdefault(fn(t), []).append(t)
@@ -199,10 +204,6 @@ def _canon_set(trees: Iterable[Tree]) -> set[str]:
     return {canonical_form(t) for t in trees}
 
 
-def _seq_key(seq: Sequence[int]) -> str:
-    return ",".join(str(x) for x in seq)
-
-
 def _frac_str(f: Fraction | None) -> str | None:
     if f is None:
         return None
@@ -252,17 +253,8 @@ class _ClassClaim:
         return records
 
 
-_KEY_LABELS: dict[str, Callable[[object], str]] = {
-    "degree_seq": _seq_key,
-    "segment_seq": _seq_key,
-    "segment_count": "m={}".format,
-    "max_degree": "delta={}".format,
-    "count_max_degree": "k={}".format,
-}
-
-
 def _label(keys: Sequence[str], values: tuple) -> str:
-    return ",".join(_KEY_LABELS[k](v) for k, v in zip(keys, values)) or "all"
+    return ",".join(_GROUPS[k][1](v) for k, v in zip(keys, values)) or "all"
 
 
 def _classes(trees: list[Tree], keys: Sequence[str]) -> list[tuple[tuple, list[Tree]]]:

@@ -8,14 +8,17 @@ floating point is involved in any value this module returns.
 
 The production route is :func:`ecc3_all`: the O(n) rerooting pass cached by
 ``tree._rooted_pass`` gives every vertex's 3-eccentricity, no distance matrix.
-Three independent routes serve as its oracles:
+The same pass gives ``aecc_k(t, 2)``. Three independent routes serve as its
+oracles, and no two of them share a distance primitive:
 
-- :func:`ecc_k_bruteforce` enumerates every k-subset (the ground truth,
-  deliberately slow and guarded);
+- :func:`ecc_k_bruteforce` enumerates every k-subset and prunes leaves (the
+  ground truth, deliberately slow and guarded);
 - :func:`ecc3_fast` maximizes the half-perimeter (d(v,x)+d(v,y)+d(x,y))/2
-  over all pairs, which on a tree equals the Steiner distance of {v,x,y};
+  over all pairs of the O(n^2) distance matrix, which on a tree equals the
+  Steiner distance of {v,x,y}; :func:`steiner3_halfperimeter` reads the
+  same matrix;
 - :func:`ecc3_via_lemma` maximizes, over the farthest endpoints x from v,
-  the length of the v-x path plus that path's eccentricity.
+  the length of the v-x path plus that path's eccentricity, all by BFS.
 
 The equivalence of all four is a tested invariant, not an assumption.
 """
@@ -28,7 +31,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BadK, CapExceeded, EmptySet, TooSmall
-from .tree import Tree, _rooted_pass, tree_path, path_eccentricity
+from .tree import Tree, _rooted_pass, bfs_distances, path_eccentricity, tree_path
 
 # ecc_k_bruteforce enumerates C(n-1, k-1) subsets; it is an oracle, not a
 # production path, and refuses orders where that blows up.
@@ -117,28 +120,24 @@ def ecc3_via_lemma(t: Tree, v: int) -> int:
     if n < 3:
         raise TooSmall("3-eccentricity needs order >= 3")
     t.check_vertex(v)
-    D = t.distance_matrix()
-    eps = int(D[v].max())
-    best = 0
-    for x in range(n):
-        if D[v, x] == eps:
-            p = tree_path(t, v, x)
-            best = max(best, eps + path_eccentricity(t, p))
-    return best
+    row = bfs_distances(t, v)
+    eps = max(row)
+    return eps + max(path_eccentricity(t, tree_path(t, v, x)) for x in range(n) if row[x] == eps)
 
 
 def aecc_k(t: Tree, k: int) -> Fraction:
     """Average Steiner k-eccentricity as an exact fraction.
 
-    k=2 takes the row maxima of the distance matrix; k=3 sums
-    :func:`ecc3_all`, the linear rerooting pass; other k fall back to the
+    k=2 sums the classical eccentricities and k=3 sums :func:`ecc3_all`,
+    both read off the linear rerooting pass; other k fall back to the
     brute-force oracle and inherit its order cap.
     """
     n = t.order
     if k < 2 or k > n:
         raise BadK(f"k={k} outside 2..{n}")
     if k == 2:
-        total = int(t.distance_matrix().max(axis=1).sum())
+        _, down, uplen, _ = _rooted_pass(t)
+        total = sum(map(max, down, uplen))
     elif k == 3:
         total = sum(ecc3_all(t))
     else:

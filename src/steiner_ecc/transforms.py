@@ -180,6 +180,11 @@ def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
 def sigma_transform(t: Tree, site: SigmaSite) -> TransformOutcome:
     """Apply one sigma move; raises InvalidSite if the site does not fit t."""
     _validate_sigma_site(t, site)
+    return _apply_sigma(t, site)
+
+
+def _apply_sigma(t: Tree, site: SigmaSite) -> TransformOutcome:
+    """Apply one sigma move at a site already known to be valid for t."""
     vk = site.attach_vertex
     vd = site.receiver
     y = site.subtree_root
@@ -197,8 +202,10 @@ def reduce_to_caterpillar(t: Tree) -> list[TransformOutcome]:
     endpoint farther from it receives (smaller endpoint id on ties).
     """
     def step(cur: Tree) -> TransformOutcome | None:
+        # The site comes from cur's own diametric path, so it skips
+        # sigma_transform's validation.
         site = _caterpillar_reduction_site(cur)
-        return None if site is None else sigma_transform(cur, site)
+        return None if site is None else _apply_sigma(cur, site)
 
     return _chain(t, step)
 

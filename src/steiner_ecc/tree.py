@@ -13,19 +13,20 @@ Conventions shared by the whole package:
   concurrent readers are safe.
 - The rooted pass, ``_rooted_pass``, is one O(n) traversal giving every
   vertex its parent, subtree height, up-branch length and ``ecc3``; it
-  serves ``steiner.ecc3_all``, :func:`diametric_path` and the surgeries'
-  branch heights. The O(n^2) matrix serves the ``ecc3`` oracles,
-  ``aecc_k(t, 2)`` and the distance queries below; ``diameter`` and ``radius``
-  stay on it while the benchmark's traced big_compute run requires a matrix.
+  serves ``steiner.ecc3_all``, :func:`eccentricity`, ``aecc_k(t, 2)``,
+  :func:`diametric_path` and the surgeries' branch heights. :func:`distance`
+  reads one BFS row; :func:`distance_to_path` and :func:`path_eccentricity`
+  run one BFS from all the path's vertices at once.
+- Exactly four functions read the O(n^2) distance matrix: :func:`diameter`
+  and :func:`radius`, which stay on it while the benchmark's traced
+  big_compute run requires a matrix, and the half-perimeter oracles
+  ``steiner.ecc3_fast`` and ``steiner.steiner3_halfperimeter``.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     BadAdjacency,
@@ -81,7 +82,7 @@ class Tree:
         if not isinstance(v, int) or not 0 <= v < len(self.adjacency):
             raise BadVertexIds(f"vertex id {v!r} not in 0..{len(self.adjacency) - 1}")
 
-    def distance_matrix(self) -> np.ndarray:
+    def distance_matrix(self):
         """All-pairs distances as a read-only (n, n) int64 array, cached."""
         if self._dist is None:
             self._dist = _all_pairs(self)
@@ -124,7 +125,7 @@ def _validate_adjacency(adj: tuple[tuple[int, ...], ...]) -> None:
         raise HasCycle(f"{edge_count} edges on {n} vertices")
     if edge_count < n - 1:
         raise NotConnected(f"{edge_count} edges cannot connect {n} vertices")
-    if n > 1 and _bfs_distances(adj, 0).count(-1):
+    if n > 1 and _bfs_distances(adj, (0,)).count(-1):
         raise NotConnected("graph is not connected")
 
 
@@ -232,25 +233,32 @@ def bfs_distances(
     """Distances from ``source``; -1 marks unreachable vertices.
 
     ``skip_edge`` treats one edge as absent (both directions), which confines
-    the search to the source's side of the cut.
+    the search to the source's side of the cut; a pair that is no edge of
+    ``t`` changes nothing.
     """
     t.check_vertex(source)
-    return _bfs_distances(t.adjacency, source, skip_edge)
+    adj = t.adjacency
+    if skip_edge is not None:
+        a, b = skip_edge
+        if 0 <= a < len(adj) and b in adj[a]:
+            adj = list(adj)
+            adj[a] = tuple(w for w in adj[a] if w != b)
+            adj[b] = tuple(w for w in adj[b] if w != a)
+    return _bfs_distances(adj, (source,))
 
 
-def _bfs_distances(adj, source, skip_edge=None):
+def _bfs_distances(adj, sources):
+    """Distances from the nearest of ``sources``; -1 marks unreachable vertices."""
     dist = [-1] * len(adj)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
+    for s in sources:
+        dist[s] = 0
+    queue = list(sources)
+    for u in queue:
+        du = dist[u] + 1
         for v in adj[u]:
             if dist[v] == -1:
-                if skip_edge is not None and ((u, v) == skip_edge or (v, u) == skip_edge):
-                    continue
-                dist[v] = du + 1
-                q.append(v)
+                dist[v] = du
+                queue.append(v)
     return dist
 
 
@@ -264,12 +272,14 @@ def _walk_back(adj, dist, u, v):
     return tuple(out)
 
 
-def _all_pairs(t: Tree) -> np.ndarray:
+def _all_pairs(t: Tree):
     """All-pairs distances from one pass over a DFS preorder.
 
     With columns in preorder every subtree is a contiguous block, so a child's
     row is its parent's row plus 1, minus 2 across the child's own block.
     """
+    import numpy as np  # here, not at module level: only the matrix needs numpy
+
     adj = t.adjacency
     n = len(adj)
     parent = [-1] * n
@@ -309,7 +319,8 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
     that maximum over w in u's subtree with branches pointing away from u. A
     top-down pass gives each child c of u its up-branch length ``uplen[c]``
     and ``upval[c]``, the same maximum over w outside c's subtree; the root
-    has ``uplen`` 0. :func:`_branch` reads every branch length off the pass.
+    has ``uplen`` 0. So the longest path leaving x through its neighbour y
+    has length ``uplen[x]`` if y is x's parent and ``down[y] + 1`` otherwise.
     """
     if t._rooted is not None:
         return t._rooted
@@ -381,15 +392,11 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
     return t._rooted
 
 
-def _branch(t: Tree, x: int, y: int) -> int:
-    """Length of the longest path that leaves x through its neighbour y."""
-    parent, down, uplen, _ = _rooted_pass(t)
-    return uplen[x] if y == parent[x] else down[y] + 1
-
-
 def _height_away(t: Tree, x: int, y: int) -> int:
     """Eccentricity of x within its component once edge (x, y) is cut."""
-    return max((_branch(t, x, z) for z in t.adjacency[x] if z != y), default=0)
+    parent, down, uplen, _ = _rooted_pass(t)
+    branches = (uplen[x] if z == parent[x] else down[z] + 1 for z in t.adjacency[x] if z != y)
+    return max(branches, default=0)
 
 
 # -- distances and paths --------------------------------------------------------
@@ -398,13 +405,14 @@ def distance(t: Tree, u: int, v: int) -> int:
     """Length of the unique u-v path."""
     t.check_vertex(u)
     t.check_vertex(v)
-    return int(t.distance_matrix()[u, v])
+    return _bfs_distances(t.adjacency, (u,))[v]
 
 
 def eccentricity(t: Tree, v: int) -> int:
     """Maximum distance from v to any vertex."""
     t.check_vertex(v)
-    return int(t.distance_matrix()[v].max())
+    _, down, uplen, _ = _rooted_pass(t)
+    return max(down[v], uplen[v])
 
 
 def diameter(t: Tree) -> int:
@@ -419,7 +427,7 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique path from u to v, inclusive."""
     t.check_vertex(u)
     t.check_vertex(v)
-    return _walk_back(t.adjacency, _bfs_distances(t.adjacency, u), u, v)
+    return _walk_back(t.adjacency, _bfs_distances(t.adjacency, (u,)), u, v)
 
 
 def diametric_path(t: Tree) -> tuple[int, ...]:
@@ -435,13 +443,14 @@ def diametric_path(t: Tree) -> tuple[int, ...]:
     path; each step then takes the smallest-id neighbour whose branch still
     holds the remaining length.
     """
-    _, down, uplen, _ = _rooted_pass(t)
+    parent, down, uplen, _ = _rooted_pass(t)
     ecc = list(map(max, down, uplen))
     x, prev = ecc.index(max(ecc)), -1
     path = [x]
     for r in range(ecc[x], 0, -1):
         # No branch at x is longer than r; the one back to prev may be as long.
-        x, prev = next(y for y in t.adjacency[x] if y != prev and _branch(t, x, y) == r), x
+        x, prev = next(y for y in t.adjacency[x]
+                       if y != prev and (uplen[x] if y == parent[x] else down[y] + 1) == r), x
         path.append(x)
     return tuple(path)
 
@@ -465,13 +474,12 @@ def distance_to_path(t: Tree, u: int, p: Sequence[int]) -> int:
     """Minimum distance from u to any vertex of the path."""
     path = check_path(t, p)
     t.check_vertex(u)
-    return int(t.distance_matrix()[u, list(path)].min())
+    return _bfs_distances(t.adjacency, path)[u]
 
 
 def path_eccentricity(t: Tree, p: Sequence[int]) -> int:
     """Maximum over all vertices of their distance to the path."""
-    path = check_path(t, p)
-    return int(t.distance_matrix()[:, list(path)].min(axis=1).max())
+    return max(_bfs_distances(t.adjacency, check_path(t, p)))
 
 
 # -- structural queries -----------------------------------------------------------

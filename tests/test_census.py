@@ -244,6 +244,23 @@ GOLDEN_PERTURBED = {
     "pi_mono": "bfbb738f6dd20c8cd46dcf4e401009bafdd6c853f08d6b98d6a91fff59677fce",
 }
 
+# SHA-256 of ``enumerate --n N --format json`` stdout, N = 1..11. The edge
+# lists carry the labels the growth order leaves on each representative, so
+# they are report bytes as much as the canonical strings are.
+GOLDEN_ENUMERATE = {
+    1: "f3627335b094000c981cf2b97b3942226dccf196bd863f01dab39f79f023badb",
+    2: "deb1b8c59e79b1bfe94a3dedcba245d3b9869da2996c2243ff2e6718a84ad721",
+    3: "c9462671a1f13aa7ecd4ff7fd6419d113d129e70ac28604a99ab63839a98ed94",
+    4: "e042e33e54f1b6202941aaf7f6527f4e242793efaaf908da91114881dc8e52e1",
+    5: "d773e25e720266be197ab14b0948b94e3ee11be8467c385987647d030a5fc448",
+    6: "72b1e283af5fafb2e617ae5d5fda6ecf7250affca95fc63970ec24a11faa0673",
+    7: "348da3b38c7db50f64c3c11c4db89a3477a675d88e5c748ec199550b1d735cfd",
+    8: "e95d5401076b8ca44fae2a1ded8a6e0111a25375724dd2d318c1a82a07a3670d",
+    9: "b80fdb10fa6716b09456dd536c92da8ed8ca625fe333e06bea8d7f449ef78b25",
+    10: "b54a030aef572102afcfeb154712475b6a5e7c2524016c8077bfcc17903fb092",
+    11: "fd32d45794bc9472e2090aca44cd2bd2318fcc8c602deb85c3dbb715292d9581",
+}
+
 # Failing records per check at n = 8 under the perturbed average.
 PERTURBED_FAILURES = {
     "thm1_1": 10, "thm1_2": 4, "thm1_3": 3, "cor3_2": 1, "cor3_3": 5, "cor3_4": 3,
@@ -264,6 +281,12 @@ class TestGoldenReports:
         assert code == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == GOLDEN_TEXT[theorem]
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_ENUMERATE))
+    def test_enumerate_json_output(self, n, capsys):
+        assert cli.main(["enumerate", "--n", str(n), "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_ENUMERATE[n]
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_failing_reports_under_perturbed_average(self, theorem, perturbed):

@@ -284,6 +284,26 @@ def test_compute_never_imports_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_census_and_chains_never_import_numpy():
+    code = (
+        "import sys\n"
+        "import steiner_ecc\n"
+        "assert 'numpy' not in sys.modules, 'import steiner_ecc loaded numpy'\n"
+        "from steiner_ecc import census, cli\n"
+        "for theorem in census.THEOREMS:\n"
+        "    assert cli.main(['verify', '--theorem', theorem, '--n', '7']) == 0\n"
+        "assert cli.main(['enumerate', '--n', '9', '--format', 'json']) == 0\n"
+        "assert cli.main(['transform', 'sigma-reduce', '--random', '200']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("mode, tree, message", [
     ("rebalance", spider(2, 2, 2), "leg lengths (2, 2, 2) differ by at most one"),
     ("rebalance", h_tree(), "2 branch vertices"),

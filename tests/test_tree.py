@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import networkx as nx
@@ -21,6 +22,7 @@ from steiner_ecc import (
     SteinerEccError,
     TooSmall,
     Tree,
+    aecc_k,
     bfs_distances,
     broom,
     canonical_form,
@@ -30,6 +32,8 @@ from steiner_ecc import (
     diametric_path,
     distance,
     distance_to_path,
+    ecc3_all,
+    ecc3_via_lemma,
     eccentricity,
     enumerate_free_trees,
     format_edge_list,
@@ -176,6 +180,34 @@ class TestLargeInputs:
         assert check_path(t, p) == p
         assert len(p) - 1 == max(bfs_distances(t, p[0])) == max(bfs_distances(t, p[-1]))
 
+    @pytest.mark.parametrize("shape", ["star", "path", "random"])
+    def test_distance_queries_within_10s_build_no_matrix(self, shape):
+        if shape == "star":
+            t = star_tree(LARGE_N)
+        elif shape == "path":
+            t = path_tree(LARGE_N)
+        else:
+            t = random_tree(LARGE_N, random.Random(0))
+        last = LARGE_N - 1
+        start = time.perf_counter()
+        p = diametric_path(t)
+        got = (eccentricity(t, 0), distance(t, 0, last), distance_to_path(t, last, p),
+               path_eccentricity(t, p), aecc_k(t, 2))
+        # At the star's centre every leaf is a farthest end, and the lemma
+        # route tries each one.
+        lemma = None if shape == "star" else ecc3_via_lemma(t, 0)
+        assert time.perf_counter() - start < 10
+        assert t._dist is None
+        if shape == "star":
+            assert got == (1, 1, 1, 1, Fraction(2 * last + 1, LARGE_N))
+        elif shape == "path":
+            assert got == (last, last, 0, 0, Fraction(sum(max(v, last - v) for v in range(LARGE_N)), LARGE_N))
+            assert lemma == last
+        else:
+            row = bfs_distances(t, 0)
+            assert got[:2] == (max(row), row[last])
+            assert lemma == ecc3_all(t)[0]
+
 
 class TestPrufer:
     def test_empty_code_is_single_edge(self):
@@ -274,6 +306,55 @@ class TestDistances:
         t = path_tree(5)
         d = bfs_distances(t, 1, skip_edge=(1, 2))
         assert d == [1, 0, -1, -1, -1]
+        assert bfs_distances(t, 3, skip_edge=(2, 1)) == [-1, -1, 1, 0, 1]
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (1, 1), (-1, 0), (0, -1), (4, 5), (99, 0)])
+    def test_bfs_skip_of_a_non_edge_changes_nothing(self, pair):
+        t = path_tree(5)
+        for v in range(5):
+            assert bfs_distances(t, v, skip_edge=pair) == bfs_distances(t, v)
+
+
+class TestMatrixFreeQueries:
+    """Distance and eccentricity queries equal their definitions on BFS rows.
+
+    ``distance`` and ``aecc_k(t, 2)`` are also checked against the matrix.
+    """
+
+    @staticmethod
+    def _check(t, vertices):
+        n = t.order
+        rows = [bfs_distances(t, u) for u in range(n)]
+        ecc = [max(row) for row in rows]
+        matrix = t.distance_matrix()
+        assert [eccentricity(t, v) for v in range(n)] == ecc
+        for u in vertices:
+            for v in vertices:
+                assert distance(t, u, v) == rows[u][v] == matrix[u, v]
+        if n >= 2:
+            assert aecc_k(t, 2) == Fraction(sum(ecc), n) == Fraction(int(matrix.max(axis=1).sum()), n)
+        for a in vertices:
+            for b in vertices:
+                p = tree_path(t, a, b)
+                near = [min(row[x] for x in p) for row in rows]
+                assert [distance_to_path(t, u, p) for u in vertices] == [near[u] for u in vertices]
+                assert path_eccentricity(t, p) == max(near)
+        if n >= 3:
+            for v in vertices:
+                # The lemma: the longest paths from v, each plus its eccentricity.
+                paths = [tree_path(t, v, x) for x in range(n) if rows[v][x] == ecc[v]]
+                lemma = ecc[v] + max(max(min(row[y] for y in p) for row in rows) for p in paths)
+                assert ecc3_via_lemma(t, v) == lemma
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_free_tree(self, n):
+        for t in enumerate_free_trees(n):
+            self._check(t, range(n))
+
+    def test_random_trees(self):
+        rng = random.Random(23)
+        for t in random_trees(300, 21, 2, 200):
+            self._check(t, rng.sample(range(t.order), min(3, t.order)))
 
 
 def _diametric_path_by_definition(t):
