@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -60,6 +62,16 @@ class TestEnumeration:
         assert len(enumerate_free_trees(5, cap=5)) == 3
         with pytest.raises(CapExceeded):
             enumerate_free_trees(6, cap=5)
+
+    def test_calls_share_nothing(self):
+        first, second = enumerate_free_trees(7), enumerate_free_trees(7)
+        assert [t.adjacency for t in first] == [t.adjacency for t in second]
+        assert all(a is not b for a, b in zip(first, second))
+        kept = first[5]
+        del first, second
+        gc.collect()
+        # Once the lists are gone, only ``kept`` and getrefcount's argument hold it.
+        assert sys.getrefcount(kept) == 2
 
     def test_prufer_dedup_agrees_at_n6(self):
         oracle = {canonical_form(from_prufer(list(c))) for c in product(range(6), repeat=4)}
@@ -244,7 +256,7 @@ GOLDEN_PERTURBED = {
     "pi_mono": "bfbb738f6dd20c8cd46dcf4e401009bafdd6c853f08d6b98d6a91fff59677fce",
 }
 
-# SHA-256 of ``enumerate --n N --format json`` stdout, N = 1..11. The edge
+# SHA-256 of ``enumerate --n N --cap 13 --format json`` stdout, N = 1..13. The edge
 # lists carry the labels the growth order leaves on each representative, so
 # they are report bytes as much as the canonical strings are.
 GOLDEN_ENUMERATE = {
@@ -259,6 +271,8 @@ GOLDEN_ENUMERATE = {
     9: "b80fdb10fa6716b09456dd536c92da8ed8ca625fe333e06bea8d7f449ef78b25",
     10: "b54a030aef572102afcfeb154712475b6a5e7c2524016c8077bfcc17903fb092",
     11: "fd32d45794bc9472e2090aca44cd2bd2318fcc8c602deb85c3dbb715292d9581",
+    12: "07a74371215cde4720a613ef6da99619209d7202d38bd7a9a1c7c010dbaa4463",
+    13: "49a32861393a6080d1c2f215fc929237c2bd47617d4338e28f1d11e14fe066b4",
 }
 
 # Failing records per check at n = 8 under the perturbed average.
@@ -284,7 +298,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("n", sorted(GOLDEN_ENUMERATE))
     def test_enumerate_json_output(self, n, capsys):
-        assert cli.main(["enumerate", "--n", str(n), "--format", "json"]) == 0
+        assert cli.main(["enumerate", "--n", str(n), "--cap", "13", "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == GOLDEN_ENUMERATE[n]
 

@@ -304,6 +304,22 @@ def test_import_census_and_chains_never_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_m_runs_the_cli(capsys):
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "steiner_ecc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_module("compute", "--random", "5", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert main(["compute", "--random", "5", "--seed", "1"]) == 0
+    expected = capsys.readouterr().out
+    assert expected and proc.stdout == expected
+    assert run_module("compute", "--random", "1").returncode == 2
+
+
 @pytest.mark.parametrize("mode, tree, message", [
     ("rebalance", spider(2, 2, 2), "leg lengths (2, 2, 2) differ by at most one"),
     ("rebalance", h_tree(), "2 branch vertices"),
