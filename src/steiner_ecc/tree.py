@@ -7,10 +7,13 @@ Conventions shared by the whole package:
 - A path is a tuple of vertex ids in visiting order; consecutive entries are
   adjacent and all entries are distinct.
 - Degree sequences and segment sequences are non-increasing tuples of ints.
-- :class:`Tree` is immutable once built; its linear-time validation alone
-  decides what is a tree. The distance matrix, the canonical form and the
-  rooted pass are cached on first use; recomputation is idempotent, so
-  concurrent readers are safe.
+- :class:`Tree` is immutable once built. Its linear-time validation decides
+  what is a tree for every public entry point. Only ``Tree._trusted`` skips
+  it, and only two callers use it, each building a tree by construction:
+  :func:`from_prufer`, which still checks every code entry, and the child
+  constructor of ``census.enumerate_free_trees``. The distance matrix, the
+  canonical form and the rooted pass are cached on first use; recomputation
+  is idempotent, so concurrent readers are safe.
 - The rooted pass, ``_rooted_pass``, is one O(n) traversal giving every
   vertex its parent, subtree height, up-branch length and ``ecc3``; it
   serves ``steiner.ecc3_all``, :func:`eccentricity`, ``aecc_k(t, 2)``,
@@ -57,6 +60,16 @@ class Tree:
         self._dist = None
         self._canon = None
         self._rooted = None
+
+    @classmethod
+    def _trusted(cls, adj: tuple[tuple[int, ...], ...]) -> Tree:
+        """Wrap ``adj``, a sorted tuple-of-tuples adjacency of a tree, unvalidated."""
+        t = cls.__new__(cls)
+        t.adjacency = adj
+        t._dist = None
+        t._canon = None
+        t._rooted = None
+        return t
 
     @property
     def order(self) -> int:
@@ -168,7 +181,7 @@ def from_prufer(code: Sequence[int]) -> Tree:
         if not isinstance(x, int) or not 0 <= x < n:
             raise BadCode(f"code entry {x!r} not in 0..{n - 1}")
         degree[x] += 1
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     # Pointer scan: always join the smallest-id available leaf.
     ptr = 0
     leaf = -1
@@ -177,7 +190,8 @@ def from_prufer(code: Sequence[int]) -> Tree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((leaf, x))
+        adj[leaf].append(x)
+        adj[x].append(leaf)
         degree[leaf] -= 1
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
@@ -185,9 +199,10 @@ def from_prufer(code: Sequence[int]) -> Tree:
         else:
             leaf = -1
             ptr += 1
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
-    return from_edge_list(edges)
+    u, v = [w for w in range(n) if degree[w] == 1]
+    adj[u].append(v)
+    adj[v].append(u)
+    return Tree._trusted(tuple(tuple(sorted(ns)) for ns in adj))
 
 
 def to_prufer(t: Tree) -> tuple[int, ...]:
@@ -220,8 +235,6 @@ def random_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random LABELED tree on n >= 2 vertices, via a random Pruefer code."""
     if n < 2:
         raise TooSmall("random trees need order >= 2")
-    if n == 2:
-        return from_edge_list([(0, 1)])
     return from_prufer([rng.randrange(n) for _ in range(n - 2)])
 
 
@@ -584,29 +597,44 @@ def canonical_form(t: Tree) -> str:
 
     The tree is rooted at its center; with two central vertices, both
     rootings are encoded and the smaller string wins. Rooted subtrees are
-    encoded bottom-up as parenthesized sorted child encodings.
+    encoded as parenthesized sorted child encodings, in one leaf-peeling
+    pass: a vertex's string is built when it is peeled, from the strings of
+    the neighbours peeled before it, which are its children under either
+    rooting. The one or two centres are left last.
     """
     if t._canon is None:
-        t._canon = min(_rooted_encoding(t, r) for r in center(t))
+        adj = t.adjacency
+        n = len(adj)
+        degree = [len(ns) for ns in adj]
+        kids = [[] for _ in range(n)]
+        layer = [v for v in range(n) if degree[v] <= 1]
+        remaining = n
+        while remaining > 2:
+            remaining -= len(layer)
+            nxt = []
+            for v in layer:
+                enc = "(" + "".join(sorted(kids[v])) + ")"
+                kids[v] = None  # dropped once used, so memory stays linear
+                degree[v] = 0
+                for w in adj[v]:
+                    # Test "not yet peeled", not "degree > 1": the last leaf
+                    # of a star finds the centre already at degree 1.
+                    if degree[w]:
+                        kids[w].append(enc)
+                        degree[w] -= 1
+                        if degree[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+        if len(layer) == 1:
+            t._canon = "(" + "".join(sorted(kids[layer[0]])) + ")"
+        else:
+            # Two centres: each rooting makes the other centre a child.
+            a, b = kids[layer[0]], kids[layer[1]]
+            sub_a = "(" + "".join(sorted(a)) + ")"
+            sub_b = "(" + "".join(sorted(b)) + ")"
+            t._canon = min("(" + "".join(sorted(a + [sub_b])) + ")",
+                           "(" + "".join(sorted(b + [sub_a])) + ")")
     return t._canon
-
-
-def _rooted_encoding(t: Tree, root: int) -> str:
-    adj = t.adjacency
-    parent = [-1] * t.order
-    parent[root] = root
-    order = [root]
-    for u in order:
-        for v in adj[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                order.append(v)
-    # Popping each child's string once its parent's is built keeps memory linear.
-    enc: dict[int, str] = {}
-    for u in reversed(order):
-        kids = sorted(enc.pop(v) for v in adj[u] if v != parent[u])
-        enc[u] = "(" + "".join(kids) + ")"
-    return enc[root]
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
@@ -657,7 +685,7 @@ def parse_prufer_text(text: str) -> Tree:
             tree = from_prufer(code)
         except BadCode as exc:
             raise ParseError(line_no, raw, str(exc)) from None
-    return from_edge_list([(0, 1)]) if tree is None else tree
+    return from_prufer([]) if tree is None else tree
 
 
 def format_prufer(t: Tree) -> str:

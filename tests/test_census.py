@@ -28,6 +28,7 @@ from steiner_ecc import (
 from steiner_ecc import census, cli, transforms
 from steiner_ecc.census import THEOREMS
 from steiner_ecc.steiner import aecc3
+from steiner_ecc.tree import _validate_adjacency
 
 from conftest import h_tree, path_tree, spider, star_tree
 
@@ -72,6 +73,23 @@ class TestEnumeration:
         gc.collect()
         # Once the lists are gone, only ``kept`` and getrefcount's argument hold it.
         assert sys.getrefcount(kept) == 2
+
+    def test_every_child_up_to_n10_is_a_tree(self, monkeypatch):
+        # Children are built without validation; validate each one here.
+        trusted = census.Tree._trusted
+        built = []
+
+        def validating(adj):
+            _validate_adjacency(adj)
+            built.append(len(adj))
+            return trusted(adj)
+
+        monkeypatch.setattr(census.Tree, "_trusted", staticmethod(validating))
+        reps = enumerate_free_trees(10)
+        assert len(reps) == 106
+        # Level m - 1's representatives each get one child per vertex.
+        counts = [1, 1, 1, 2, 3, 6, 11, 23, 47]
+        assert len(built) == sum(c * m for m, c in enumerate(counts, start=1))
 
     def test_prufer_dedup_agrees_at_n6(self):
         oracle = {canonical_form(from_prufer(list(c))) for c in product(range(6), repeat=4)}

@@ -55,7 +55,7 @@ from steiner_ecc import (
     tree_path,
 )
 from steiner_ecc.errors import BadAdjacency
-from steiner_ecc.tree import _height_away, check_path
+from steiner_ecc.tree import _height_away, _validate_adjacency, check_path
 
 from conftest import (
     h_tree,
@@ -232,6 +232,36 @@ class TestPrufer:
     @given(prufer_codes())
     def test_round_trip_random(self, code):
         assert list(to_prufer(from_prufer(code))) == code
+
+    @pytest.mark.parametrize("code", [[-1], [0, 1.0], ["0"], [None, 0]])
+    def test_negative_or_non_integer_entry(self, code):
+        with pytest.raises(BadCode):
+            from_prufer(code)
+
+    def test_decodes_of_all_order_7_codes_are_trees(self):
+        # from_prufer builds without validation; every decode must pass it.
+        for code in product(range(7), repeat=5):
+            t = from_prufer(code)
+            _validate_adjacency(t.adjacency)
+            assert from_edge_list(t.edges()) == t
+
+    def test_decodes_of_seeded_codes_up_to_order_10_4_are_trees(self):
+        rng = random.Random(7)
+        sizes = [2, 3, 10**4] + [rng.randint(2, 10**4) for _ in range(6)]
+        for n in sizes:
+            for code in ([rng.randrange(n) for _ in range(n - 2)], [0] * (n - 2)):
+                t = from_prufer(code)
+                _validate_adjacency(t.adjacency)
+                assert from_edge_list(t.edges()) == t
+                assert t.order == n
+
+    def test_order_2_has_one_adjacency_from_every_entry_point(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert random_tree(2, rng).adjacency == ((1,), (0,))
+        assert rng.getstate() == state
+        assert parse_prufer_text("").adjacency == ((1,), (0,))
+        assert from_prufer([]).adjacency == ((1,), (0,))
 
 
 class TestDistances:
@@ -478,7 +508,47 @@ class TestStructure:
         assert center(path_tree(5)) == (2,)
 
 
+def _two_rooting_canonical_form(t):
+    """Oracle: encode the tree rooted at each centre in turn, keep the smaller."""
+
+    def rooted(root):
+        adj = t.adjacency
+        parent = [-1] * t.order
+        parent[root] = root
+        order = [root]
+        for u in order:
+            for v in adj[u]:
+                if parent[v] == -1:
+                    parent[v] = u
+                    order.append(v)
+        enc = {}
+        for u in reversed(order):
+            kids = sorted(enc.pop(v) for v in adj[u] if v != parent[u])
+            enc[u] = "(" + "".join(kids) + ")"
+        return enc[root]
+
+    return min(rooted(r) for r in center(t))
+
+
 class TestCanonicalForm:
+    def test_matches_two_rooting_oracle_on_every_free_tree_up_to_12(self):
+        centres = set()
+        for n in range(1, 13):
+            for rep in enumerate_free_trees(n):
+                t = Tree(rep.adjacency)  # uncached, so the encoder runs again
+                assert canonical_form(t) == _two_rooting_canonical_form(t)
+                centres.add(len(center(t)))
+        assert centres == {1, 2}
+
+    def test_matches_two_rooting_oracle_on_random_trees(self):
+        for t in random_trees(300, 23, 2, 400):
+            assert canonical_form(t) == _two_rooting_canonical_form(t)
+
+    @pytest.mark.parametrize("build", [path_tree, star_tree])
+    def test_matches_two_rooting_oracle_at_order_20000(self, build):
+        t = build(20000)
+        assert canonical_form(t) == _two_rooting_canonical_form(t)
+
     def test_path_of_20000_peaks_under_16_mb(self):
         t = path_tree(20000)
         tracemalloc.start()
