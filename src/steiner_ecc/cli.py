@@ -98,18 +98,27 @@ def _load_tree(args) -> tuple[Tree, int | None]:
         return random_tree(args.random, random.Random(seed)), seed
     if args.input is None:
         raise SteinerEccError("no input: pass --input FILE or --random N")
-    text = sys.stdin.read() if args.input == "-" else _read_file(args.input)
+    text = _read_input(args.input)
     if args.input_format == "prufer":
         return parse_prufer_text(text), None
     return parse_edge_list_text(text), None
 
 
-def _read_file(path: str) -> str:
+def _read_input(path: str) -> str:
+    """The text of ``path`` or, for ``-``, of stdin, decoded as UTF-8.
+
+    Undecodable bytes become lone surrogates, so both sources fail in the
+    parser, naming the line, whatever the locale.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise ParseError(0, path, f"cannot read input: {exc}") from None
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:

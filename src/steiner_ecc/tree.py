@@ -12,8 +12,10 @@ Conventions shared by the whole package:
   it, and only two callers use it, each building a tree by construction:
   :func:`from_prufer`, which still checks every code entry, and the child
   constructor of ``census.enumerate_free_trees``. The distance matrix, the
-  canonical form and the rooted pass are cached on first use; recomputation
-  is idempotent, so concurrent readers are safe.
+  rooted pass and the leaf peel, ``_peel``, are cached on first use; the
+  peel gives both the canonical form and the :func:`center`, so each tree
+  is peeled at most once. Recomputation is idempotent, so concurrent
+  readers are safe.
 - The rooted pass, ``_rooted_pass``, is one O(n) traversal giving every
   vertex its parent, subtree height, up-branch length and ``ecc3``; it
   serves ``steiner.ecc3_all``, :func:`eccentricity`, ``aecc_k(t, 2)``,
@@ -569,25 +571,12 @@ def is_generalized_star(t: Tree) -> bool:
 
 
 def center(t: Tree) -> tuple[int, ...]:
-    """The one or two middle vertices, found by peeling leaf layers."""
-    n = t.order
-    if n <= 2:
-        return tuple(range(n))
-    degree = list(t.degrees())
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for w in t.adjacency[v]:
-                if degree[w] > 1:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+    """The one or two middle vertices: the last layer of :func:`canonical_form`'s peel.
+
+    Both read the one cached pass of ``_peel``, so asking for either after
+    the other peels nothing.
+    """
+    return _peel(t)[1]
 
 
 # -- canonical form and isomorphism ------------------------------------------------
@@ -596,11 +585,19 @@ def canonical_form(t: Tree) -> str:
     """Canonical encoding: equal strings iff isomorphic.
 
     The tree is rooted at its center; with two central vertices, both
-    rootings are encoded and the smaller string wins. Rooted subtrees are
-    encoded as parenthesized sorted child encodings, in one leaf-peeling
-    pass: a vertex's string is built when it is peeled, from the strings of
-    the neighbours peeled before it, which are its children under either
-    rooting. The one or two centres are left last.
+    rootings are encoded and the smaller string wins.
+    """
+    return _peel(t)[0]
+
+
+def _peel(t: Tree) -> tuple[str, tuple[int, ...]]:
+    """The canonical string and the sorted centres, from one leaf-peeling pass.
+
+    Rooted subtrees are encoded as parenthesized sorted child encodings: a
+    vertex's string is built when it is peeled, from the strings of the
+    neighbours peeled before it, which are its children under either
+    rooting. The one or two centres are left last. Both results are cached
+    together in ``t._canon``.
     """
     if t._canon is None:
         adj = t.adjacency
@@ -626,14 +623,15 @@ def canonical_form(t: Tree) -> str:
                             nxt.append(w)
             layer = nxt
         if len(layer) == 1:
-            t._canon = "(" + "".join(sorted(kids[layer[0]])) + ")"
+            canon = "(" + "".join(sorted(kids[layer[0]])) + ")"
         else:
             # Two centres: each rooting makes the other centre a child.
             a, b = kids[layer[0]], kids[layer[1]]
             sub_a = "(" + "".join(sorted(a)) + ")"
             sub_b = "(" + "".join(sorted(b)) + ")"
-            t._canon = min("(" + "".join(sorted(a + [sub_b])) + ")",
-                           "(" + "".join(sorted(b + [sub_a])) + ")")
+            canon = min("(" + "".join(sorted(a + [sub_b])) + ")",
+                        "(" + "".join(sorted(b + [sub_a])) + ")")
+        t._canon = (canon, tuple(sorted(layer)))
     return t._canon
 
 

@@ -59,6 +59,23 @@ def test_compute_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_compute_non_utf8_input_exits_2_naming_the_line(tmp_path, source):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"0 1\n\xff\xfe 2\n")
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    # A strict stdin, as under a UTF-8 locale, must not change the outcome.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               PYTHONIOENCODING="utf-8:strict")
+    with open(p, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "steiner_ecc.cli", "compute",
+             "--input", str(p) if source == "file" else "-"],
+            stdin=stdin, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 2: vertex ids must be integers: '\\udcff\\udcfe 2'\n"
+
+
 def test_compute_non_tree_exits_2(tmp_path, capsys):
     p = tmp_path / "cycle.txt"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -508,6 +508,56 @@ class TestStructure:
         assert center(path_tree(5)) == (2,)
 
 
+def _least_eccentric(t):
+    """Oracle: the vertices of least eccentricity, read from BFS rows.
+
+    In a tree every vertex is farthest from one end of any diametric path,
+    so the rows from the two ends that a double BFS finds give every
+    eccentricity in linear time.
+    """
+    d0 = bfs_distances(t, 0)
+    du = bfs_distances(t, d0.index(max(d0)))
+    dw = bfs_distances(t, du.index(max(du)))
+    ecc = [max(a, b) for a, b in zip(du, dw)]
+    r = min(ecc)
+    return tuple(v for v, e in enumerate(ecc) if e == r)
+
+
+class TestCenter:
+    def test_every_free_tree_up_to_12_by_definition(self):
+        for n in range(1, 13):
+            for rep in enumerate_free_trees(n):
+                t = Tree(rep.adjacency)  # uncached, so the peel runs again
+                ecc = [max(bfs_distances(t, v)) for v in range(n)]
+                r = min(ecc)
+                least = tuple(v for v in range(n) if ecc[v] == r)
+                assert center(t) == least
+                assert _least_eccentric(t) == least
+
+    def test_random_trees(self):
+        for t in random_trees(300, 29, 2, 400):
+            assert center(t) == _least_eccentric(t)
+
+    @pytest.mark.parametrize("build", [path_tree, star_tree])
+    def test_order_20000(self, build):
+        t = build(20000)
+        assert center(t) == _least_eccentric(t)
+
+    @pytest.mark.parametrize("t", [path_tree(7), path_tree(8), star_tree(6), spider(3, 1, 1),
+                                   h_tree()], ids=["path7", "path8", "star6", "spider", "h"])
+    def test_center_and_canonical_form_share_one_peel(self, t):
+        first, second = Tree(t.adjacency), Tree(t.adjacency)
+        c1 = center(first)
+        peeled = first._canon
+        s1 = canonical_form(first)
+        assert first._canon is peeled
+        s2 = canonical_form(second)
+        peeled = second._canon
+        c2 = center(second)
+        assert second._canon is peeled
+        assert (c1, s1) == (c2, s2)
+
+
 def _two_rooting_canonical_form(t):
     """Oracle: encode the tree rooted at each centre in turn, keep the smaller."""
 
@@ -527,7 +577,7 @@ def _two_rooting_canonical_form(t):
             enc[u] = "(" + "".join(kids) + ")"
         return enc[root]
 
-    return min(rooted(r) for r in center(t))
+    return min(rooted(r) for r in _least_eccentric(t))
 
 
 class TestCanonicalForm:
