@@ -344,9 +344,7 @@ _CLASS_CLAIMS: dict[str, _ClassClaim] = {
     "cor3_3": _ClassClaim(
         ("max_degree",),
         claimed=lambda n, expected, delta: family_bound("tndelta", n, delta=delta),
-        expected=lambda n, ts, delta: _caterpillars_with(
-            ts, (delta,) + (2,) * (n - delta - 1) + (1,) * delta
-        ),
+        expected=lambda n, ts, delta: _caterpillars_with(ts, _uniform_branch_sequence(n, delta, 1)),
         premise=_max_degree_premise,
     ),
     "cor3_4": _ClassClaim(

@@ -4,6 +4,8 @@ Subcommands: compute, construct, transform, bound, majorize, enumerate,
 verify. Exit codes are stable API:
 
 - 0  success
+- 1  stdout was closed before all output was written (a broken pipe);
+     the run ends quietly, without a traceback
 - 2  input parsing or tree validation failure
 - 3  infeasible construction / comparison parameters
 - 4  transformation errors (bad site, nothing to transform, wrong shape)
@@ -414,7 +416,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so that
+        # the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

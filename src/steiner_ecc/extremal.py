@@ -129,8 +129,7 @@ def broom(n: int, delta: int) -> Tree:
         raise Infeasible(f"maximum degree must be >= 3, got {delta}")
     if n < delta + 1:
         raise Infeasible(f"order {n} cannot host a vertex of degree {delta}")
-    pi = (delta,) + (2,) * (n - delta - 1) + (1,) * delta
-    return caterpillar_from_degree_sequence(pi)
+    return caterpillar_from_degree_sequence(_uniform_branch_sequence(n, delta, 1))
 
 
 def uniform_branch_caterpillar(n: int, branch_degree: int, count: int) -> Tree:

@@ -21,6 +21,10 @@ to the balanced one without increasing the average.
 
 Every application returns a :class:`TransformOutcome` carrying both trees
 and their exact averages, so monotonicity can be re-audited independently.
+Each move has one route: the chains apply their moves through the public,
+validating :func:`sigma_transform` and :func:`pi_transform`, so every move
+is checked once, at its site. The moved tree is a tree by construction and
+is built without a second validation.
 
 Site search cost: searches, validation and chains read the tree's cached
 O(n) rooted pass (``tree._rooted_pass``, shared with ``aecc3``), never the
@@ -118,14 +122,20 @@ def _chain(t: Tree, step) -> list[TransformOutcome]:
 
 
 def _rehang(t: Tree, src: int, dst: int, moved: list[int]) -> Tree:
-    """``t`` with every vertex of ``moved`` detached from ``src`` and attached to ``dst``."""
+    """``t`` with every vertex of ``moved`` detached from ``src`` and attached to ``dst``.
+
+    Whole branches move between two vertices of one tree, so the result is
+    a tree by construction and is built unvalidated. Rows stay sorted:
+    ``src`` is filtered, ``dst`` and every moved row are re-sorted, and the
+    other rows are untouched.
+    """
     adj = list(t.adjacency)
     gone = set(moved)
     adj[src] = tuple(w for w in adj[src] if w not in gone)
     adj[dst] = tuple(sorted(adj[dst] + tuple(moved)))
     for w in moved:
         adj[w] = tuple(sorted(dst if x == src else x for x in adj[w]))
-    return Tree(adj)
+    return Tree._trusted(tuple(adj))
 
 
 # -- sigma ---------------------------------------------------------------------
@@ -180,11 +190,6 @@ def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
 def sigma_transform(t: Tree, site: SigmaSite) -> TransformOutcome:
     """Apply one sigma move; raises InvalidSite if the site does not fit t."""
     _validate_sigma_site(t, site)
-    return _apply_sigma(t, site)
-
-
-def _apply_sigma(t: Tree, site: SigmaSite) -> TransformOutcome:
-    """Apply one sigma move at a site already known to be valid for t."""
     vk = site.attach_vertex
     vd = site.receiver
     y = site.subtree_root
@@ -199,13 +204,12 @@ def reduce_to_caterpillar(t: Tree) -> list[TransformOutcome]:
 
     Site selection is deterministic: the smallest-id internal off-path
     vertex adjacent to the fixed diametric path donates, and the path
-    endpoint farther from it receives (smaller endpoint id on ties).
+    endpoint farther from it receives (smaller endpoint id on ties). Each
+    move goes through :func:`sigma_transform`, which validates its site.
     """
     def step(cur: Tree) -> TransformOutcome | None:
-        # The site comes from cur's own diametric path, so it skips
-        # sigma_transform's validation.
         site = _caterpillar_reduction_site(cur)
-        return None if site is None else _apply_sigma(cur, site)
+        return None if site is None else sigma_transform(cur, site)
 
     return _chain(t, step)
 
@@ -246,11 +250,6 @@ def _validate_pi_site(t: Tree, site: PiSite) -> None:
 def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
     """Apply one pi move; raises InvalidSite if the site does not fit t."""
     _validate_pi_site(t, site)
-    return _apply_pi(t, site)
-
-
-def _apply_pi(t: Tree, site: PiSite) -> TransformOutcome:
-    """Apply one pi move at a site already known to be valid for t."""
     path = site.path
     u, v = path[0], path[-1]
     moved = [w for w in t.adjacency[u] if w != path[1]]
@@ -295,6 +294,7 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
     Deterministic choices: the segment with the lexicographically smallest
     endpoint pair goes first; the end whose component is shallower donates
     (smaller id on ties). The segment sequence is preserved throughout.
+    Each move goes through :func:`pi_transform`, which validates its site.
     """
     def step(cur: Tree) -> TransformOutcome | None:
         branches = set(branch_vertices(cur))
@@ -306,9 +306,8 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
         )
         e_lo, e_hi = _end_heights(cur, seg)
         # Donor = shallower side; segments come oriented smaller-end first,
-        # so ties donate from the smaller id as-is. The site is valid by
-        # construction, so it skips pi_transform's validation.
-        return _apply_pi(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
+        # so ties donate from the smaller id as-is.
+        return pi_transform(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
 
     return _chain(t, step)
 

@@ -9,9 +9,11 @@ Conventions shared by the whole package:
 - Degree sequences and segment sequences are non-increasing tuples of ints.
 - :class:`Tree` is immutable once built. Its linear-time validation decides
   what is a tree for every public entry point. Only ``Tree._trusted`` skips
-  it, and only two callers use it, each building a tree by construction:
-  :func:`from_prufer`, which still checks every code entry, and the child
-  constructor of ``census.enumerate_free_trees``. The distance matrix, the
+  it, and only three callers use it, each building a tree by construction:
+  :func:`from_prufer`, which still checks every code entry, the child
+  constructor of ``census.enumerate_free_trees``, and
+  ``transforms._rehang``, which moves whole branches within a tree after
+  the surgery's site was validated. The distance matrix, the
   rooted pass and the leaf peel, ``_peel``, are cached on first use; the
   peel gives both the canonical form and the :func:`center`, so each tree
   is peeled at most once. Recomputation is idempotent, so concurrent
@@ -65,7 +67,12 @@ class Tree:
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...]) -> Tree:
-        """Wrap ``adj``, a sorted tuple-of-tuples adjacency of a tree, unvalidated."""
+        """Wrap ``adj``, a sorted tuple-of-tuples adjacency of a tree, unvalidated.
+
+        Its only three callers each build a tree by construction:
+        :func:`from_prufer`, the child constructor of
+        ``census.enumerate_free_trees`` and ``transforms._rehang``.
+        """
         t = cls.__new__(cls)
         t.adjacency = adj
         t._dist = None

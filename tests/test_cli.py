@@ -337,6 +337,27 @@ def test_python_m_runs_the_cli(capsys):
     assert run_module("compute", "--random", "1").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "12"),
+    ("compute", "--random", "2000", "--seed", "1"),
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, however much output fits in the pipe's buffer.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "steiner_ecc.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("mode, tree, message", [
     ("rebalance", spider(2, 2, 2), "leg lengths (2, 2, 2) differ by at most one"),
     ("rebalance", h_tree(), "2 branch vertices"),

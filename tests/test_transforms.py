@@ -41,6 +41,7 @@ from steiner_ecc import (
     sigma_transform,
 )
 from steiner_ecc import cli
+from steiner_ecc.tree import Tree, _validate_adjacency
 
 from conftest import h_tree, path_tree, random_trees, spider, star_tree, trees
 
@@ -359,3 +360,31 @@ class TestPiSiteOracle:
     def test_brooms(self, delta):
         t = broom(30, delta)
         assert find_pi_sites(t) == _pi_sites_by_definition(t)
+
+
+class TestSurgeryBuilds:
+    """Every tree a surgery builds unvalidated passes the full validation."""
+
+    def test_every_move_builds_a_tree(self, monkeypatch):
+        inputs = [t for n in range(3, 11) for t in enumerate_free_trees(n)]
+        inputs += random_trees(50, 3, 4, 60)
+        # Moved trees are built without validation; validate each one here.
+        trusted = Tree._trusted
+        built = []
+
+        def validating(adj):
+            _validate_adjacency(adj)
+            built.append(len(adj))
+            return trusted(adj)
+
+        monkeypatch.setattr(Tree, "_trusted", staticmethod(validating))
+        outcomes = []
+        for t in inputs:
+            to_star = reduce_to_generalized_star(t)
+            star = to_star[-1].after if to_star else t
+            outcomes += reduce_to_caterpillar(t) + to_star + balance_generalized_star(star)
+            outcomes += [sigma_transform(t, site) for site in find_sigma_sites(t)]
+            outcomes += [pi_transform(t, site) for site in find_pi_sites(t)]
+        changed = [out for out in outcomes if out.after != out.before]
+        assert changed
+        assert len(built) == len(changed)
