@@ -226,10 +226,10 @@ def _cmd_transform(args) -> int:
             raise InvalidSite("no sigma site on this tree")
         chain = [transforms.sigma_transform(t, sites[0])]
     elif mode == "pi":
-        site = next(transforms._pi_sites(t), None)
-        if site is None:
+        sites = transforms.find_pi_sites(t)
+        if not sites:
             raise InvalidSite("no pi site on this tree")
-        chain = [transforms.pi_transform(t, site)]
+        chain = [transforms.pi_transform(t, sites[0])]
     elif mode == "sigma-reduce":
         chain = transforms.reduce_to_caterpillar(t)
     elif mode == "star-reduce":

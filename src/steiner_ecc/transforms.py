@@ -29,17 +29,22 @@ is built without a second validation.
 Site search cost: searches, validation and chains read the tree's cached
 O(n) rooted pass (``tree._rooted_pass``, shared with ``aecc3``), never the
 distance matrix. ``find_sigma_sites`` scans the neighbors of the diametric
-path walked off it. ``find_pi_sites`` reads each segment's two end heights
-off it; interior vertices have degree 2, so every subpath's end heights follow.
-The rest is output: a segment of L vertices yields up to L(L-1) sites of up
-to L vertices each. ``transform pi`` stops at the first.
+path walked off it; its sites share that path and its one reversal.
+``find_pi_sites`` reads each segment's two end heights off it; interior
+vertices have degree 2, so every subpath's end heights follow. A segment of
+L vertices has up to L(L-1) sites of up to L vertices each, so
+``find_pi_sites`` returns a read-only sequence in O(n) memory that builds a
+site only when it is read: ``len`` is O(1) and an index costs two bisects
+and one slice. ``transform pi`` reads the first site. The pi chain walks
+from the branch vertices to the one segment it moves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
@@ -152,6 +157,7 @@ def find_sigma_sites(t: Tree) -> list[SigmaSite]:
         return []
     p = diametric_path(t)
     d = len(p) - 1
+    q = p[::-1]  # shared by every far-half site
     on_path = set(p)
     sites = []
     for k in range(1, d):
@@ -161,7 +167,7 @@ def find_sigma_sites(t: Tree) -> list[SigmaSite]:
             if 2 * k <= d:
                 sites.append(SigmaSite(p, k, y))
             else:
-                sites.append(SigmaSite(p[::-1], d - k, y))
+                sites.append(SigmaSite(q, d - k, y))
     return sites
 
 
@@ -259,33 +265,87 @@ def pi_transform(t: Tree, site: PiSite) -> TransformOutcome:
     )
 
 
-def find_pi_sites(t: Tree) -> list[PiSite]:
+def find_pi_sites(t: Tree) -> Sequence[PiSite]:
     """All oriented pi sites: subpaths of segments with a valid donor/receiver order.
 
     Equal end-component eccentricities make both orientations valid, and
     both are returned. Trees of order < 3 have no sites (their averages are
-    undefined).
+    undefined). The result is a read-only sequence in O(n) memory: ``len``
+    is O(1), indexing (negative indexes too) and slicing build only the
+    sites read, iteration yields every site in order, and it compares equal
+    to a list of the same sites.
     """
-    return list(_pi_sites(t))
+    return _PiSites(t)
 
 
-def _pi_sites(t: Tree) -> Iterator[PiSite]:
-    """The sites of :func:`find_pi_sites`, in its order, one at a time."""
-    if t.order < 3:
-        return
-    for seg in segments(t):
-        m = len(seg)
-        h_first, h_last = _end_heights(t, seg)
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                # Cutting seg[i..j] leaves seg[i] the path back to seg[0] plus
-                # seg[0]'s side, and seg[j] likewise toward seg[-1].
-                sub = seg[i : j + 1]
-                e_start, e_end = i + h_first, m - 1 - j + h_last
-                if e_end >= e_start:
-                    yield PiSite(sub)
-                if e_start >= e_end:
-                    yield PiSite(sub[::-1])
+class _PiSites(Sequence):
+    """The pi sites of one tree, in :func:`find_pi_sites` order, built when read.
+
+    Row ``i`` of a segment of m vertices holds the subpaths ``seg[i..j]``,
+    j > i. With ``c = m-1 + h_last - h_first`` (the end heights away from
+    the segment), ``seg[i..j]`` donates from ``seg[i]`` iff ``i + j <= c`` and
+    from ``seg[j]`` iff ``i + j >= c``, so the row holds ``m-1-i`` sites, plus
+    one when ``j = c - i`` lies in ``i+1..m-1`` and takes both orientations.
+    Each segment keeps ``c`` and the count of sites before each row, so a
+    site is found by two bisects.
+    """
+
+    __slots__ = ("_segs", "_consts", "_rows", "_starts")
+
+    def __init__(self, t: Tree):
+        self._segs = segments(t) if t.order >= 3 else []
+        self._consts = []
+        self._rows = []  # per segment: the sites before each row
+        self._starts = [0]  # the sites before each segment, then the total
+        for seg in self._segs:
+            m = len(seg)
+            h_first, h_last = _end_heights(t, seg)
+            c = m - 1 + h_last - h_first
+            rows, total = [], 0
+            for i in range(m - 1):
+                rows.append(total)
+                total += m - 1 - i + (1 if i + 1 <= c - i <= m - 1 else 0)
+            self._consts.append(c)
+            self._rows.append(rows)
+            self._starts.append(self._starts[-1] + total)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # normalizes, bounds-checks and slices like a list
+        if isinstance(k, range):
+            return [self[x] for x in k]
+        s = bisect_right(self._starts, k) - 1
+        rows = self._rows[s]
+        k -= self._starts[s]
+        i = bisect_right(rows, k) - 1
+        j = i + 1 + k - rows[i]
+        seg, c = self._segs[s], self._consts[s]
+        if i + j <= c:
+            return PiSite(seg[i : j + 1])
+        if 2 * i < c:
+            j -= 1  # the row's j = c - i came first, in both orientations
+        return PiSite(seg[i : j + 1][::-1])
+
+    def __iter__(self) -> Iterator[PiSite]:
+        for seg, c in zip(self._segs, self._consts):
+            m = len(seg)
+            for i in range(m - 1):
+                for j in range(i + 1, m):
+                    # Cutting seg[i..j] leaves seg[i] the path back to seg[0] plus
+                    # seg[0]'s side, and seg[j] likewise toward seg[-1]: its side
+                    # eccentricities are i + h_first and m-1-j + h_last.
+                    sub = seg[i : j + 1]
+                    if i + j <= c:
+                        yield PiSite(sub)
+                    if i + j >= c:
+                        yield PiSite(sub[::-1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _PiSites)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
@@ -297,19 +357,44 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
     Each move goes through :func:`pi_transform`, which validates its site.
     """
     def step(cur: Tree) -> TransformOutcome | None:
-        branches = set(branch_vertices(cur))
-        if len(branches) <= 1:
+        seg = _first_branch_segment(cur)
+        if seg is None:
             return None
-        seg = min(
-            (s for s in segments(cur) if s[0] in branches and s[-1] in branches),
-            key=lambda s: (s[0], s[-1]),
-        )
         e_lo, e_hi = _end_heights(cur, seg)
-        # Donor = shallower side; segments come oriented smaller-end first,
+        # Donor = shallower side; the segment comes oriented smaller-end first,
         # so ties donate from the smaller id as-is.
         return pi_transform(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
 
     return _chain(t, step)
+
+
+def _first_branch_segment(t: Tree) -> tuple[int, ...] | None:
+    """The branch-to-branch segment with the smallest ``(first, last)`` ends, or None.
+
+    Walks the segments leaving each branch vertex in ascending id. Every
+    branch-to-branch segment starts at its smaller end, so the first branch
+    vertex with a segment to a larger one holds the smallest first end; of
+    its segments, the one to the smallest branch vertex is returned, oriented
+    from its smaller end as in :func:`segments`. A tree with two branch
+    vertices has such a segment, so None means at most one.
+    """
+    adj = t.adjacency
+    for u in range(t.order):
+        if len(adj[u]) < 3:
+            continue
+        best = None
+        for nb in adj[u]:
+            prev, cur = u, nb
+            walk = [u, nb]
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                walk.append(cur)
+            if cur > u and len(adj[cur]) >= 3 and (best is None or cur < best[-1]):
+                best = walk
+        if best is not None:
+            return tuple(best)
+    return None
 
 
 # -- leg rebalancing -----------------------------------------------------------

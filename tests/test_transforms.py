@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from steiner_ecc import (
     balance_generalized_star,
     balanced_star,
     bfs_distances,
+    branch_vertices,
     broom,
     degree_sequence,
     degree_sequence_bound,
@@ -28,6 +30,7 @@ from steiner_ecc import (
     find_pi_sites,
     find_sigma_sites,
     format_edge_list,
+    from_edge_list,
     is_caterpillar,
     is_generalized_star,
     is_isomorphic,
@@ -41,6 +44,7 @@ from steiner_ecc import (
     sigma_transform,
 )
 from steiner_ecc import cli
+from steiner_ecc.transforms import _first_branch_segment
 from steiner_ecc.tree import Tree, _validate_adjacency
 
 from conftest import h_tree, path_tree, random_trees, spider, star_tree, trees
@@ -85,6 +89,30 @@ class TestSigmaSites:
         assert time.perf_counter() - start < 10
         assert t._dist is None
         assert (sites == []) == (shape != "random")
+
+    def test_comb_sites_share_the_path_in_linear_memory(self):
+        # A 6000-vertex spine whose inner vertices each carry a two-vertex
+        # tooth: the diametric path runs tip to tip, and every other inner
+        # spine vertex holds a site, half of them past the midpoint.
+        spine = 6000
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        nxt = spine
+        for v in range(1, spine - 1):
+            edges += [(v, nxt), (nxt, nxt + 1)]
+            nxt += 2
+        t = from_edge_list(edges)
+        assert t.order == 17_996
+        tracemalloc.start()
+        try:
+            sites = find_sigma_sites(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sites) == 5_996
+        p = diametric_path(t)
+        assert {site.path for site in sites} == {p, p[::-1]}
+        assert len({id(site.path) for site in sites}) == 2
+        assert peak < 20 * 2**20
 
 
 class TestSigmaTransform:
@@ -360,6 +388,69 @@ class TestPiSiteOracle:
     def test_brooms(self, delta):
         t = broom(30, delta)
         assert find_pi_sites(t) == _pi_sites_by_definition(t)
+
+
+def _pi_site_inputs():
+    trees_ = [t for n in range(1, 10) for t in enumerate_free_trees(n)]
+    return trees_ + random_trees(50, 11, 2, 40) + [broom(30, delta) for delta in (3, 4, 5)]
+
+
+class TestPiSiteSequence:
+    """``find_pi_sites`` reads like the by-definition list: length, truth, indexes, slices."""
+
+    def test_reads_like_the_list(self):
+        for t in _pi_site_inputs():
+            expected = _pi_sites_by_definition(t)
+            sites = find_pi_sites(t)
+            n = len(expected)
+            assert len(sites) == n
+            assert bool(sites) == bool(expected)
+            assert [sites[k] for k in range(n)] == expected
+            assert [sites[k] for k in range(-n, 0)] == expected
+            for cut in (slice(None), slice(3), slice(-5, None), slice(1, None, 3),
+                        slice(None, None, -2), slice(n, None), slice(4, 2)):
+                assert sites[cut] == expected[cut]
+            assert list(sites) == expected
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    sites[k]
+
+    def test_path_of_order_1e5_in_linear_memory(self):
+        m = 100_000
+        t = path_tree(m)
+        aecc3(t)  # fills the cached rooted pass, so the peak is the sequence's own
+        tracemalloc.start()
+        try:
+            sites = find_pi_sites(t)
+            assert len(sites) == m * (m - 1) // 2 + m // 2 == 5_000_000_000
+            assert sites[0].path == (0, 1)
+            assert sites[-1].path == (m - 1, m - 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def _branch_segment_by_min(t):
+    """The segment the pi chain moves, by filtering and sorting every segment."""
+    branches = set(branch_vertices(t))
+    if len(branches) <= 1:
+        return None
+    return min(
+        (s for s in segments(t) if s[0] in branches and s[-1] in branches),
+        key=lambda s: (s[0], s[-1]),
+    )
+
+
+class TestPiChainSegment:
+    """The pi chain walks to the same segment that the minimum over all segments picks."""
+
+    def test_every_step_of_every_chain(self):
+        inputs = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+        inputs += random_trees(60, 5, 3, 150)
+        for t in inputs:
+            for cur in [t] + [out.after for out in reduce_to_generalized_star(t)]:
+                assert _first_branch_segment(cur) == _branch_segment_by_min(cur)
 
 
 class TestSurgeryBuilds:
