@@ -36,7 +36,9 @@ L vertices has up to L(L-1) sites of up to L vertices each, so
 ``find_pi_sites`` returns a read-only sequence in O(n) memory that builds a
 site only when it is read: ``len`` is O(1) and an index costs two bisects
 and one slice. ``transform pi`` reads the first site. The pi chain walks
-from the branch vertices to the one segment it moves.
+from the branch vertices to the one segment it moves, and leg rebalancing
+walks the legs from the centre; both read ``tree._segment_walks``, the
+segment walker behind :func:`segments`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from fractions import Fraction
 
 from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
-from .tree import Tree, _height_away, branch_vertices, check_path, diametric_path, segments
+from .tree import Tree, _height_away, _segment_walks, branch_vertices, check_path, diametric_path
+from .tree import segments
 
 
 @dataclass(frozen=True)
@@ -371,7 +374,8 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
 def _first_branch_segment(t: Tree) -> tuple[int, ...] | None:
     """The branch-to-branch segment with the smallest ``(first, last)`` ends, or None.
 
-    Walks the segments leaving each branch vertex in ascending id. Every
+    Reads the segments leaving each branch vertex, in ascending id, from
+    ``tree._segment_walks``, the walker behind :func:`segments`. Every
     branch-to-branch segment starts at its smaller end, so the first branch
     vertex with a segment to a larger one holds the smallest first end; of
     its segments, the one to the smallest branch vertex is returned, oriented
@@ -383,14 +387,9 @@ def _first_branch_segment(t: Tree) -> tuple[int, ...] | None:
         if len(adj[u]) < 3:
             continue
         best = None
-        for nb in adj[u]:
-            prev, cur = u, nb
-            walk = [u, nb]
-            while len(adj[cur]) == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                walk.append(cur)
-            if cur > u and len(adj[cur]) >= 3 and (best is None or cur < best[-1]):
+        for walk in _segment_walks(adj, (u,)):
+            v = walk[-1]
+            if v > u and len(adj[v]) >= 3 and (best is None or v < best[-1]):
                 best = walk
         if best is not None:
             return tuple(best)
@@ -410,12 +409,11 @@ def rebalance_step(t: Tree) -> TransformOutcome:
         raise NotGeneralizedStar(f"{len(branches)} branch vertices")
     if t.order < 2:
         raise AlreadyBalanced("single vertex has no legs")
-    segs = segments(t)
-    seq = sorted((len(s) - 1 for s in segs), reverse=True)
+    # A path has one segment and no branch vertex to orient legs from.
+    legs = list(_segment_walks(t.adjacency, branches)) if branches else segments(t)
+    seq = sorted((len(s) - 1 for s in legs), reverse=True)
     if seq[0] - seq[-1] <= 1:
         raise AlreadyBalanced(f"leg lengths {tuple(seq)} differ by at most one")
-    # Two legs differ by at least 2, so the tree is no path: one branch vertex.
-    legs = [s if s[0] == branches[0] else s[::-1] for s in segs]
     longest = max(legs, key=lambda s: (len(s), -s[-1]))
     shortest = min(legs, key=lambda s: (len(s), s[-1]))
     moved, detach, attach = longest[-1], longest[-2], shortest[-1]

@@ -24,6 +24,10 @@ Conventions shared by the whole package:
   :func:`diametric_path` and the surgeries' branch heights. :func:`distance`
   reads one BFS row; :func:`distance_to_path` and :func:`path_eccentricity`
   run one BFS from all the path's vertices at once.
+- The segment walker, ``_segment_walks``, is the one loop that follows
+  chains of degree-2 vertices. :func:`segments` and
+  :func:`segment_sequence`, the pi chain's segment search and leg
+  rebalancing in ``transforms`` all read it.
 - Exactly four functions read the O(n^2) distance matrix: :func:`diameter`
   and :func:`radius`, which stay on it while the benchmark's traced
   big_compute run requires a matrix, and the half-perimeter oracles
@@ -101,7 +105,7 @@ class Tree:
         return [(u, v) for u in range(self.order) for v in self.adjacency[u] if u < v]
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self.adjacency):
+        if type(v) is not int or not 0 <= v < len(self.adjacency):
             raise BadVertexIds(f"vertex id {v!r} not in 0..{len(self.adjacency) - 1}")
 
     def distance_matrix(self):
@@ -129,7 +133,7 @@ def _validate_adjacency(adj: tuple[tuple[int, ...], ...]) -> None:
     for u, ns in enumerate(adj):
         prev = -1
         for v in ns:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise BadVertexIds(f"neighbor id {v!r} of vertex {u} not in 0..{n - 1}")
             if v == u:
                 raise HasCycle(f"self-loop at vertex {u}")
@@ -165,7 +169,7 @@ def from_edge_list(edges: Iterable[Sequence[int]]) -> Tree:
             u, v = e
         except (TypeError, ValueError):
             raise BadVertexIds(f"edge {e!r} is not a pair") from None
-        if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
+        if type(u) is not int or type(v) is not int or u < 0 or v < 0:
             raise BadVertexIds(f"edge ({u!r}, {v!r}) has non-integer or negative ids")
         pairs.append((u, v))
     if not pairs:
@@ -187,7 +191,7 @@ def from_prufer(code: Sequence[int]) -> Tree:
     n = len(code) + 2
     degree = [1] * n
     for x in code:
-        if not isinstance(x, int) or not 0 <= x < n:
+        if type(x) is not int or not 0 <= x < n:
             raise BadCode(f"code entry {x!r} not in 0..{n - 1}")
         degree[x] += 1
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -520,6 +524,24 @@ def branch_vertices(t: Tree) -> list[int]:
     return [v for v in range(t.order) if len(t.adjacency[v]) >= 3]
 
 
+def _segment_walks(adj, starts):
+    """Walks from each start vertex along each of its neighbors, in ascending id.
+
+    Each walk is a list that begins at its start vertex, goes through the
+    neighbor and ends at the first vertex whose degree is not 2, so a walk
+    from a vertex whose degree is not 2 is a segment.
+    """
+    for s in starts:
+        for nb in adj[s]:
+            prev, cur = s, nb
+            walk = [s, nb]
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                walk.append(cur)
+            yield walk
+
+
 def segments(t: Tree) -> list[tuple[int, ...]]:
     """Maximal paths whose interior vertices have degree 2 and whose ends do not.
 
@@ -530,27 +552,16 @@ def segments(t: Tree) -> list[tuple[int, ...]]:
     if n < 2:
         raise TooSmall("segments need order >= 2")
     adj = t.adjacency
-    out = []
-    for e in range(n):
-        if len(adj[e]) == 2:
-            continue
-        for nb in adj[e]:
-            prev, cur = e, nb
-            walk = [e, nb]
-            while len(adj[cur]) == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                walk.append(cur)
-            # Each segment is discovered once from each end; keep one orientation.
-            if e < cur:
-                out.append(tuple(walk))
+    ends = (v for v in range(n) if len(adj[v]) != 2)
+    # Each segment is walked once from each end; keep one orientation.
+    out = [tuple(w) for w in _segment_walks(adj, ends) if w[0] < w[-1]]
     out.sort(key=lambda p: (-len(p), p))
     return out
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
     """Segment lengths sorted non-increasing; they sum to n-1."""
-    return tuple(sorted((len(s) - 1 for s in segments(t)), reverse=True))
+    return tuple(len(s) - 1 for s in segments(t))
 
 
 def is_path(t: Tree) -> bool:

@@ -12,7 +12,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from steiner_ecc import census, canonical_form, is_caterpillar, parse_edge_list_text
+from steiner_ecc import (
+    census,
+    canonical_form,
+    from_edge_list,
+    is_caterpillar,
+    parse_edge_list_text,
+)
 from steiner_ecc.cli import main
 
 from conftest import h_tree, path_tree, spider
@@ -362,6 +368,9 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     ("rebalance", spider(2, 2, 2), "leg lengths (2, 2, 2) differ by at most one"),
     ("rebalance", h_tree(), "2 branch vertices"),
     ("pi", path_tree(2), "no pi site on this tree"),
+    ("rebalance", path_tree(5), "leg lengths (4,) differ by at most one"),
+    ("rebalance", from_edge_list([]), "single vertex has no legs"),
+    ("balance", h_tree(), "input has more than one branch vertex"),
 ])
 def test_transform_errors_exit_4_with_their_text(tmp_path, capsys, mode, tree, message):
     assert main(["transform", mode, "--input", write_tree(tmp_path, tree)]) == 4

@@ -99,6 +99,11 @@ class TestConstruction:
         with pytest.raises(BadVertexIds):
             from_edge_list([(-1, 0)])
 
+    def test_bool_id_rejected(self):
+        # A stored True would be written as "True", which the text codec rejects.
+        with pytest.raises(BadVertexIds):
+            from_edge_list([(False, True), (True, 2)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(HasCycle):
             from_edge_list([(0, 0), (0, 1)])
@@ -140,6 +145,14 @@ class TestValidator:
     def test_out_of_range_neighbor_rejected(self):
         with pytest.raises(BadVertexIds):
             Tree(((5,), (0,)))
+
+    def test_bool_neighbor_rejected(self):
+        with pytest.raises(BadVertexIds):
+            Tree(((True,), (0,)))
+
+    def test_check_vertex_rejects_bool(self):
+        with pytest.raises(BadVertexIds):
+            path_tree(3).check_vertex(True)
 
     def test_empty_adjacency_rejected(self):
         with pytest.raises(BadVertexIds):
@@ -233,7 +246,7 @@ class TestPrufer:
     def test_round_trip_random(self, code):
         assert list(to_prufer(from_prufer(code))) == code
 
-    @pytest.mark.parametrize("code", [[-1], [0, 1.0], ["0"], [None, 0]])
+    @pytest.mark.parametrize("code", [[-1], [0, 1.0], ["0"], [None, 0], [True]])
     def test_negative_or_non_integer_entry(self, code):
         with pytest.raises(BadCode):
             from_prufer(code)
@@ -460,6 +473,18 @@ class TestPathOperations:
             path_eccentricity(t, (1, 2, 1))
 
 
+def _segments_by_definition(t):
+    """Paths between two vertices of degree other than 2 with only degree-2 interiors."""
+    ends = [v for v in range(t.order) if t.degree(v) != 2]
+    out = []
+    for i, a in enumerate(ends):
+        for b in ends[i + 1:]:
+            p = tree_path(t, a, b)
+            if all(t.degree(v) == 2 for v in p[1:-1]):
+                out.append(p)
+    return sorted(out, key=lambda p: (-len(p), p))
+
+
 class TestStructure:
     def test_path_degree_sequence(self):
         assert degree_sequence(path_tree(4)) == (2, 2, 1, 1)
@@ -476,6 +501,11 @@ class TestStructure:
 
     def test_h_tree_segments(self):
         assert segment_sequence(h_tree()) == (2, 1, 1, 1, 1)
+
+    def test_segments_match_their_definition(self):
+        trees = [t for n in range(2, 11) for t in enumerate_free_trees(n)]
+        for t in trees + random_trees(50, 23, 2, 60):
+            assert segments(t) == _segments_by_definition(t)
 
     def test_segments_need_two_vertices(self):
         with pytest.raises(TooSmall):
