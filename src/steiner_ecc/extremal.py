@@ -185,8 +185,12 @@ def family_bound(
     Families: ``tn`` (all trees), ``tndelta`` (maximum degree delta),
     ``tnk`` (exactly k vertices of maximum degree), ``tndeltak`` (exactly k
     vertices of maximum degree delta). Parameter ranges follow the family
-    definitions; violations raise Infeasible.
+    definitions; violations raise Infeasible, and so does an ``n``,
+    ``delta`` or ``k`` that is not an ``int`` (a bool included).
     """
+    for name, value in (("n", n), ("delta", delta), ("k", k)):
+        if type(value) is not int and (name == "n" or value is not None):
+            raise Infeasible(f"{name} must be an int, got {value!r}")
     if family == "tn":
         if n < 3:
             raise Infeasible(f"need n >= 3, got {n}")

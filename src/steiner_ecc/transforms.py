@@ -29,7 +29,10 @@ is built without a second validation.
 Site search cost: searches, validation and chains read the tree's cached
 O(n) rooted pass (``tree._rooted_pass``, shared with ``aecc3``), never the
 distance matrix. ``find_sigma_sites`` scans the neighbors of the diametric
-path walked off it; its sites share that path and its one reversal.
+path walked off it; its sites share that path and its one reversal. The
+sigma chain scans that path once per step, through the same generator, and
+builds only the site it applies; validation reads the diameter off the
+pass instead of walking the path again.
 ``find_pi_sites`` reads each segment's two end heights off it; interior
 vertices have degree 2, so every subpath's end heights follow. A segment of
 L vertices has up to L(L-1) sites of up to L vertices each, so
@@ -50,8 +53,8 @@ from fractions import Fraction
 
 from .errors import AlreadyBalanced, InvalidPath, InvalidSite, NotGeneralizedStar
 from .steiner import aecc3
-from .tree import Tree, _height_away, _segment_walks, branch_vertices, check_path, diametric_path
-from .tree import segments
+from .tree import Tree, _height_away, _rooted_pass, _segment_walks, branch_vertices, check_path
+from .tree import diametric_path, segments
 
 
 @dataclass(frozen=True)
@@ -161,17 +164,18 @@ def find_sigma_sites(t: Tree) -> list[SigmaSite]:
     p = diametric_path(t)
     d = len(p) - 1
     q = p[::-1]  # shared by every far-half site
+    return [SigmaSite(p, k, y) if 2 * k <= d else SigmaSite(q, d - k, y)
+            for k, y in _sigma_pairs(t, p)]
+
+
+def _sigma_pairs(t: Tree, p: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """``(k, y)`` for each off-path, non-pendant neighbor y of an interior vertex p[k]."""
+    adj = t.adjacency
     on_path = set(p)
-    sites = []
-    for k in range(1, d):
-        for y in t.adjacency[p[k]]:
-            if y in on_path or t.degree(y) < 2:
-                continue
-            if 2 * k <= d:
-                sites.append(SigmaSite(p, k, y))
-            else:
-                sites.append(SigmaSite(q, d - k, y))
-    return sites
+    for k in range(1, len(p) - 1):
+        for y in adj[p[k]]:
+            if y not in on_path and len(adj[y]) >= 2:
+                yield k, y
 
 
 def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
@@ -180,7 +184,8 @@ def _validate_sigma_site(t: Tree, site: SigmaSite) -> None:
     except InvalidPath as exc:
         raise InvalidSite(str(exc)) from None
     d = len(path) - 1
-    diam = len(diametric_path(t)) - 1
+    _, down, uplen, _ = _rooted_pass(t)
+    diam = max(map(max, down, uplen))
     if d != diam:
         raise InvalidSite(f"path of length {d} is not diametric (diameter {diam})")
     k = site.attach_index
@@ -224,12 +229,20 @@ def reduce_to_caterpillar(t: Tree) -> list[TransformOutcome]:
 
 
 def _caterpillar_reduction_site(t: Tree) -> SigmaSite | None:
-    site = min(find_sigma_sites(t), key=lambda s: s.subtree_root, default=None)
-    if site is not None and 2 * site.attach_index == len(site.path) - 1:
-        # At the midpoint the path starts at its smaller endpoint; flip it so
-        # that endpoint receives.
-        site = SigmaSite(site.path[::-1], site.attach_index, site.subtree_root)
-    return site
+    """The site whose subtree root has the smallest id, read off one path scan."""
+    if t.order < 3:
+        return None
+    p = diametric_path(t)
+    # y is adjacent to one path vertex only, so the pairs never tie on y.
+    y, k = min(((y, k) for k, y in _sigma_pairs(t, p)), default=(None, 0))
+    if y is None:
+        return None
+    d = len(p) - 1
+    if 2 * k < d:
+        return SigmaSite(p, k, y)
+    # Past the midpoint the path is mirrored; at it, the path would start at
+    # its smaller endpoint, and is flipped so that endpoint receives.
+    return SigmaSite(p[::-1], d - k, y)
 
 
 # -- pi ------------------------------------------------------------------------

@@ -21,9 +21,13 @@ Conventions shared by the whole package:
 - The rooted pass, ``_rooted_pass``, is one O(n) traversal giving every
   vertex its parent, subtree height, up-branch length and ``ecc3``; it
   serves ``steiner.ecc3_all``, :func:`eccentricity`, ``aecc_k(t, 2)``,
-  :func:`diametric_path` and the surgeries' branch heights. :func:`distance`
-  reads one BFS row; :func:`distance_to_path` and :func:`path_eccentricity`
-  run one BFS from all the path's vertices at once.
+  :func:`diametric_path`, the diameter that sigma validation reads and the
+  surgeries' branch heights. Leaves and degree-2 vertices other than the
+  root, about three quarters of a random tree, take constant-time branches
+  of their own; branch vertices and the root take the general loop.
+  :func:`distance` reads one BFS row; :func:`distance_to_path` and
+  :func:`path_eccentricity` run one BFS from all the path's vertices at
+  once.
 - The segment walker, ``_segment_walks``, is the one loop that follows
   chains of degree-2 vertices. :func:`segments` and
   :func:`segment_sequence`, the pi chain's segment search and leg
@@ -347,6 +351,16 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
     and ``upval[c]``, the same maximum over w outside c's subtree; the root
     has ``uplen`` 0. So the longest path leaving x through its neighbour y
     has length ``uplen[x]`` if y is x's parent and ``down[y] + 1`` otherwise.
+
+    Every vertex but the root, 0, that has degree 1 or 2 skips the general
+    loop. A leaf keeps ``down = g = 0`` and gets ``ecc3 = max(uplen,
+    upval)``. A degree-2 vertex u with child c takes ``down[c] + 1`` and
+    ``g[c] + 1``: its only branches are c's and the up branch, and g[c] >=
+    down[c] because g counts ``b1 + b2 >= b1``, so ``g[c] + 1`` beats the
+    one-branch path ``down[c] + 1``. Going down, u gets ``ecc3 =
+    max(uplen[u] + down[c] + 1, g[c] + 1, upval[u])``, and c gets
+    ``uplen[c] = uplen[u] + 1`` and ``upval[c] = 1 + max(upval[u],
+    uplen[u])``, since the up branch is the only one at u besides c's.
     """
     if t._rooted is not None:
         return t._rooted
@@ -363,10 +377,21 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
     down = [0] * n
     g = [0] * n
     for u in reversed(order):
+        ns = adj[u]
+        if u:  # the root, 0, always takes the general loop
+            if len(ns) == 1:
+                continue  # a leaf keeps down = g = 0
+            if len(ns) == 2:
+                c, x = ns
+                if c == parent[u]:
+                    c = x
+                down[u] = down[c] + 1
+                g[u] = g[c] + 1  # g[c] >= down[c]
+                continue
         p = parent[u]
         b1 = b2 = 0
         gc = -1  # the best g over u's children; a leaf has none
-        for c in adj[u]:
+        for c in ns:
             if c != p:
                 x = down[c] + 1
                 if x > b1:
@@ -376,18 +401,38 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
                 if g[c] > gc:
                     gc = g[c]
         down[u] = b1
-        g[u] = max(b1 + b2, gc + 1)
+        x = b1 + b2
+        g[u] = x if x > gc else gc + 1
     uplen = [0] * n
     upval = [0] * n
     ecc = [0] * n
     for u in order:
+        ns = adj[u]
+        up = upval[u]
+        if u:
+            lu = uplen[u]
+            if len(ns) == 1:
+                ecc[u] = lu if lu > up else up
+                continue
+            if len(ns) == 2:
+                c, x = ns
+                if c == parent[u]:
+                    c = x
+                x = lu + down[c] + 1
+                y = g[c] + 1
+                if y > x:
+                    x = y
+                ecc[u] = x if x > up else up
+                uplen[c] = lu + 1
+                upval[c] = 1 + (lu if lu > up else up)
+                continue
         p = parent[u]
         # Top-3 branch lengths at u, the up branch included, with the
         # neighbours of the top two; top-2 of g + 1 over u's children.
         l1, i1 = uplen[u], p
         l2 = l3 = h1 = h2 = 0
         i2 = j1 = -1
-        for c in adj[u]:
+        for c in ns:
             if c != p:
                 x = down[c] + 1
                 if x > l1:
@@ -401,9 +446,11 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
                     h1, h2, j1 = y, h1, c
                 elif y > h2:
                     h2 = y
-        up = upval[u]
-        ecc[u] = max(l1 + l2, h1, up)
-        for c in adj[u]:
+        x = l1 + l2
+        if h1 > x:
+            x = h1
+        ecc[u] = x if x > up else up
+        for c in ns:
             if c != p:
                 # a >= b: the two longest branches at u other than c's.
                 if c == i1:
@@ -412,8 +459,13 @@ def _rooted_pass(t: Tree) -> tuple[list[int], list[int], list[int], tuple[int, .
                     a, b = l1, l3
                 else:
                     a, b = l1, l2
+                x = h2 if c == j1 else h1
+                if up > x:
+                    x = up
+                if a + b > x:
+                    x = a + b
                 uplen[c] = a + 1
-                upval[c] = 1 + max(up, h2 if c == j1 else h1, a + b)
+                upval[c] = x + 1
     t._rooted = (parent, down, uplen, tuple(ecc))
     return t._rooted
 
@@ -470,13 +522,17 @@ def diametric_path(t: Tree) -> tuple[int, ...]:
     holds the remaining length.
     """
     parent, down, uplen, _ = _rooted_pass(t)
+    adj = t.adjacency
     ecc = list(map(max, down, uplen))
     x, prev = ecc.index(max(ecc)), -1
     path = [x]
     for r in range(ecc[x], 0, -1):
         # No branch at x is longer than r; the one back to prev may be as long.
-        x, prev = next(y for y in t.adjacency[x]
-                       if y != prev and (uplen[x] if y == parent[x] else down[y] + 1) == r), x
+        px = parent[x]
+        for y in adj[x]:
+            if y != prev and (uplen[x] if y == px else down[y] + 1) == r:
+                break
+        prev, x = x, y
         path.append(x)
     return tuple(path)
 

@@ -2,22 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from steiner_ecc import (
     census,
     canonical_form,
+    degree_sequence,
+    extremal,
+    format_edge_list,
+    format_prufer,
     from_edge_list,
+    from_prufer,
     is_caterpillar,
     parse_edge_list_text,
+    segment_sequence,
 )
 from steiner_ecc.cli import main
 
@@ -386,3 +397,116 @@ def test_transform_pi_stops_at_the_first_site(tmp_path, capsys):
     (step,) = json.loads(capsys.readouterr().out)["steps"]
     assert step["site"].endswith("along (0, 1)")
     assert elapsed < 10
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+_ORDERS = st.integers(-2, 12).map(str)
+_CODES = st.integers(2, 12).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+_SEQUENCES = st.one_of(
+    _CODES.map(lambda code: ",".join(map(str, degree_sequence(from_prufer(code))))),
+    _CODES.map(lambda code: ",".join(map(str, segment_sequence(from_prufer(code))))),
+    st.lists(st.integers(-1, 6), max_size=8).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123,- x", max_size=12),
+)
+_FORMATS = {"--format": st.sampled_from(["text", "json"])}
+
+
+@st.composite
+def _stdin(draw, prufer):
+    """Edge-list or Pruefer text of a tree of order <= 12, perturbed or not, or noise."""
+    kind = draw(st.sampled_from(["tree", "perturbed", "noise", "bytes"]))
+    if kind == "noise":
+        return draw(st.text(alphabet="0123456789 ,#-x\n\t", max_size=20)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=12))
+    n = draw(st.integers(2, 12))
+    t = from_prufer(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+    lines = (format_prufer(t) if prufer else format_edge_list(t)).splitlines()
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(lines) - 1))
+            edit = draw(st.sampled_from(["drop", "copy", "token", "extra"]))
+            if edit == "drop":
+                del lines[i]
+                lines = lines or [""]
+            elif edit == "copy":
+                lines.insert(i, lines[i])
+            elif edit == "token":
+                tokens = lines[i].replace(",", " ").split() or ["0"]
+                j = draw(st.integers(0, len(tokens) - 1))
+                tokens[j] = draw(st.sampled_from(["-1", "x", "3.5", "12", "0", "#", "\xff"]))
+                lines[i] = " ".join(tokens)
+            else:
+                lines.insert(i, draw(st.sampled_from(["0 1 2", "1,2", "# note", "", "5 5"])))
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def _argv_and_stdin(draw):
+    """Arguments for one subcommand, small and sometimes out of range or unknown, and stdin."""
+    command = draw(st.sampled_from(
+        ["compute", "transform", "construct", "bound", "majorize", "enumerate", "verify"]))
+    argv = [command]
+    options = {}
+    data = b""
+    if command in ("compute", "transform"):
+        if command == "transform":
+            argv.append(draw(st.sampled_from(
+                ["sigma", "sigma-reduce", "pi", "star-reduce", "rebalance", "balance"])))
+        if draw(st.booleans()):
+            fmt = draw(st.sampled_from(["edgelist", "prufer"]))
+            argv += ["--input", "-", "--input-format", fmt]
+            data = draw(_stdin(fmt == "prufer"))
+        else:
+            options["--random"] = _ORDERS
+            options["--seed"] = st.integers(0, 5).map(str)
+        options.update(_FORMATS)
+    elif command == "construct":
+        argv.append(draw(st.sampled_from(
+            ["caterpillar", "star", "balanced-star", "broom", "cnk", "cndk"])))
+        options = {"--pi": _SEQUENCES, "--segments": _SEQUENCES, "--n": _ORDERS,
+                   "--m": _ORDERS, "--k": _ORDERS, "--delta": _ORDERS}
+    elif command == "bound":
+        options = {"--n": _ORDERS, "--k": _ORDERS, "--delta": _ORDERS}
+        if draw(st.booleans()):
+            argv += ["--family", draw(st.sampled_from(extremal.FAMILIES)), "--n", draw(_ORDERS)]
+            del options["--n"]
+        else:
+            options["--pi"] = _SEQUENCES
+    elif command == "majorize":
+        argv += [draw(_SEQUENCES), draw(_SEQUENCES)]
+        options = dict(_FORMATS)
+    elif command == "enumerate":
+        argv += ["--n", draw(_ORDERS)]
+        options = {"--group": st.sampled_from(census.GROUP_KEYS),
+                   "--cap": st.integers(-1, 30).map(str), **_FORMATS}
+    else:
+        argv += ["--theorem", draw(st.sampled_from(census.THEOREMS)),
+                 "--n", draw(st.integers(-1, 8).map(str))]
+        options = {"--cap": st.integers(-1, 30).map(str),
+                   "--format": st.sampled_from(["text", "json", "csv"])}
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [name, draw(options[name])]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "7", "--n", "--format=xml"])))
+    return argv, data
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(case=_argv_and_stdin())
+def test_fuzzed_arguments_exit_with_a_documented_code(case):
+    """Only argparse's usage exit escapes ``main``; every other run returns a documented code."""
+    argv, data = case
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, data)
+            return
+    assert code in (0, 2, 3, 4, 5, 6), (argv, data, err.getvalue())

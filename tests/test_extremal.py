@@ -198,6 +198,25 @@ class TestClosedFormBound:
         assert family_bound("tndelta", 7, delta=3) == Fraction(38, 7)
         assert family_bound("tndeltak", 10, delta=4, k=2) == Fraction(56, 10)
 
+    @pytest.mark.parametrize("family, n, params", [
+        ("tn", 5.5, {}),
+        ("tn", Fraction(11, 2), {}),
+        ("tn", 7.0, {}),
+        ("tn", True, {}),
+        ("tn", None, {}),
+        ("tn", "7", {}),
+        ("tndelta", 7, {"delta": 3.0}),
+        ("tndelta", 7, {"delta": True}),
+        ("tnk", 10, {"k": 1.5}),
+        ("tnk", 10, {"k": True}),
+        ("tndeltak", 10, {"delta": 4, "k": 2.0}),
+        ("tndeltak", 10, {"delta": Fraction(4), "k": 2}),
+        ("tndeltak", 10.0, {"delta": 4, "k": 2}),
+    ])
+    def test_non_integer_parameters_are_infeasible(self, family, n, params):
+        with pytest.raises(Infeasible, match="must be an int"):
+            family_bound(family, n, **params)
+
 
 class TestMajorization:
     def test_known_pair(self):

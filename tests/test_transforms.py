@@ -23,6 +23,7 @@ from steiner_ecc import (
     bfs_distances,
     branch_vertices,
     broom,
+    caterpillar_from_degree_sequence,
     degree_sequence,
     degree_sequence_bound,
     diametric_path,
@@ -31,6 +32,7 @@ from steiner_ecc import (
     find_sigma_sites,
     format_edge_list,
     from_edge_list,
+    generalized_star,
     is_caterpillar,
     is_generalized_star,
     is_isomorphic,
@@ -44,7 +46,7 @@ from steiner_ecc import (
     sigma_transform,
 )
 from steiner_ecc import cli
-from steiner_ecc.transforms import _first_branch_segment
+from steiner_ecc.transforms import _caterpillar_reduction_site, _first_branch_segment
 from steiner_ecc.tree import Tree, _validate_adjacency
 
 from conftest import h_tree, path_tree, random_trees, spider, star_tree, trees
@@ -168,6 +170,23 @@ class TestReduceToCaterpillar:
         for out in chain:
             assert out.aecc3_after > out.aecc3_before
 
+    @staticmethod
+    def _site_from_every_site(t):
+        """The chain's site as derived from the full site list: smallest root, midpoint flipped."""
+        site = min(find_sigma_sites(t), key=lambda s: s.subtree_root, default=None)
+        if site is not None and 2 * site.attach_index == len(site.path) - 1:
+            site = SigmaSite(site.path[::-1], site.attach_index, site.subtree_root)
+        return site
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reduction_site_matches_the_site_list_on_every_free_tree(self, n):
+        for t in enumerate_free_trees(n):
+            assert _caterpillar_reduction_site(t) == self._site_from_every_site(t)
+
+    def test_reduction_site_matches_the_site_list_along_chains(self):
+        for t in random_trees(20, 31, 10, 120):
+            for out in reduce_to_caterpillar(t):
+                assert out.site == self._site_from_every_site(out.before)
 
     def test_order_1000_within_15s_builds_no_matrix(self):
         t = random_tree(1000, random.Random(4))
@@ -176,6 +195,38 @@ class TestReduceToCaterpillar:
         assert time.perf_counter() - start < 15
         assert chain and is_caterpillar(chain[-1].after)
         assert all(tree._dist is None for tree in [t] + [out.after for out in chain])
+
+
+class TestClaimsAtScale:
+    """The paper's main claims on seeded random trees of order 10^3 and 10^4.
+
+    Each tree is checked against the Theorem 1.1 and 1.2 extremes, and
+    against a few sigma and pi moves at sites drawn by index.
+    """
+
+    CASES = [(1000, seed) for seed in range(5)] + [(10000, seed) for seed in range(4)]
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_claims(self, n, seed):
+        rng = random.Random(seed)
+        t = random_tree(n, rng)
+        avg = aecc3(t)
+        # Theorem 1.1: the degree-sequence bound holds, and caterpillars attain it.
+        ds = degree_sequence(t)
+        bound = degree_sequence_bound(ds)
+        assert avg <= bound
+        assert aecc3(caterpillar_from_degree_sequence(ds)) == bound
+        # Theorem 1.2: the generalized star on the segment sequence is no higher.
+        assert avg >= aecc3(generalized_star(segment_sequence(t)))
+        sigma_sites = find_sigma_sites(t)
+        assert sigma_sites
+        for site in rng.sample(sigma_sites, min(3, len(sigma_sites))):
+            out = sigma_transform(t, site)
+            assert out.aecc3_before == avg < out.aecc3_after
+        pi_sites = find_pi_sites(t)
+        for i in rng.sample(range(len(pi_sites)), 3):
+            out = pi_transform(t, pi_sites[i])
+            assert out.aecc3_after <= out.aecc3_before == avg
 
 
 class TestPiTransform:

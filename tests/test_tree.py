@@ -55,7 +55,7 @@ from steiner_ecc import (
     tree_path,
 )
 from steiner_ecc.errors import BadAdjacency
-from steiner_ecc.tree import _height_away, _validate_adjacency, check_path
+from steiner_ecc.tree import _height_away, _rooted_pass, _validate_adjacency, check_path
 
 from conftest import (
     h_tree,
@@ -447,6 +447,132 @@ class TestEndHeights:
     def test_random_trees(self):
         for t in random_trees(100, 19, 2, 80):
             self._check(t)
+
+
+def _rooted_pass_general(t):
+    """``tree._rooted_pass`` before leaves and degree-2 vertices had their own branches.
+
+    Every vertex takes the general loop, and nothing is cached.
+    """
+    adj = t.adjacency
+    n = len(adj)
+    parent = [-1] * n
+    parent[0] = 0  # the root is its own parent: visited, and no neighbour of itself
+    order = [0]
+    for u in order:
+        for c in adj[u]:
+            if parent[c] == -1:
+                parent[c] = u
+                order.append(c)
+    down = [0] * n
+    g = [0] * n
+    for u in reversed(order):
+        p = parent[u]
+        b1 = b2 = 0
+        gc = -1  # the best g over u's children; a leaf has none
+        for c in adj[u]:
+            if c != p:
+                x = down[c] + 1
+                if x > b1:
+                    b1, b2 = x, b1
+                elif x > b2:
+                    b2 = x
+                if g[c] > gc:
+                    gc = g[c]
+        down[u] = b1
+        g[u] = max(b1 + b2, gc + 1)
+    uplen = [0] * n
+    upval = [0] * n
+    ecc = [0] * n
+    for u in order:
+        p = parent[u]
+        # Top-3 branch lengths at u, the up branch included, with the
+        # neighbours of the top two; top-2 of g + 1 over u's children.
+        l1, i1 = uplen[u], p
+        l2 = l3 = h1 = h2 = 0
+        i2 = j1 = -1
+        for c in adj[u]:
+            if c != p:
+                x = down[c] + 1
+                if x > l1:
+                    l1, l2, l3, i1, i2 = x, l1, l2, c, i1
+                elif x > l2:
+                    l2, l3, i2 = x, l2, c
+                elif x > l3:
+                    l3 = x
+                y = g[c] + 1
+                if y > h1:
+                    h1, h2, j1 = y, h1, c
+                elif y > h2:
+                    h2 = y
+        up = upval[u]
+        ecc[u] = max(l1 + l2, h1, up)
+        for c in adj[u]:
+            if c != p:
+                # a >= b: the two longest branches at u other than c's.
+                if c == i1:
+                    a, b = l2, l3
+                elif c == i2:
+                    a, b = l1, l3
+                else:
+                    a, b = l1, l2
+                uplen[c] = a + 1
+                upval[c] = 1 + max(up, h2 if c == j1 else h1, a + b)
+    return (parent, down, uplen, tuple(ecc))
+
+
+def _comb(teeth, length):
+    """A spine of ``teeth`` vertices with a path of ``length`` edges hanging off each."""
+    edges = [(i, i + 1) for i in range(teeth - 1)]
+    nxt = teeth
+    for i in range(teeth):
+        prev = i
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return from_edge_list(edges)
+
+
+class TestRootedPassReference:
+    """The rooted pass equals the all-general-loop pass, parents included.
+
+    Its leaf and degree-2 branches skip the general loop for every vertex
+    but the root, so each tree is also tried with each vertex as vertex 0.
+    """
+
+    @staticmethod
+    def _check(t):
+        assert _rooted_pass(t) == _rooted_pass_general(t)
+
+    def test_every_free_tree_from_every_root(self):
+        cases = 0
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                for v in range(n):
+                    perm = list(range(n))
+                    perm[0], perm[v] = v, 0
+                    self._check(relabel(t, perm))
+                    cases += 1
+        assert cases == 1809
+
+    def test_shapes(self):
+        shapes = [path_tree(n) for n in (2, 3, 4, 7, 100)]
+        shapes += [star_tree(n) for n in (3, 4, 50)]
+        shapes += [spider(*[legs] * 3) for legs in range(1, 41)]
+        shapes += [spider(legs, 1, 1) for legs in range(1, 41)]
+        shapes += [spider(*range(1, 41))]
+        shapes += [_comb(teeth, length) for teeth, length in ((2, 1), (5, 3), (30, 2), (10, 20))]
+        shapes += [broom(n, delta) for n, delta in ((6, 3), (12, 5), (100, 3), (200, 8), (40, 39))]
+        for t in shapes:
+            self._check(t)
+            # The same shape rooted at its last vertex, a leaf of most of them.
+            n = t.order
+            self._check(relabel(t, [n - 1] + list(range(1, n - 1)) + [0]))
+
+    def test_random_trees_of_order_1000(self):
+        rng = random.Random(29)
+        for _ in range(5):
+            self._check(random_tree(1000, rng))
 
 
 class TestPathOperations:
