@@ -83,7 +83,10 @@ def _parse_int_seq(text: str, what: str) -> tuple[int, ...]:
         raise Infeasible(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _default_cap() -> int:
+def _cap(args) -> int:
+    """``--cap``, else ``STEINER_ECC_CAP``, else the census default."""
+    if args.cap is not None:
+        return args.cap
     raw = os.environ.get("STEINER_ECC_CAP")
     if raw is None:
         return census.DEFAULT_CAP
@@ -144,58 +147,50 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 def _cmd_compute(args) -> int:
     t, seed = _load_tree(args)
     value = aecc3(t)  # rejects n < 3
-    ecc3 = ecc3_all(t)
+    report = {  # in text order
+        "n": t.order,
+        "degree_sequence": list(degree_sequence(t)),
+        "segment_sequence": list(segment_sequence(t)),
+        "diameter": diameter(t),
+        "radius": radius(t),
+        "ecc3": list(ecc3_all(t)),
+        "aecc3": value,
+    }
     if args.format == "json":
-        doc = {
-            "n": t.order,
-            "degree_sequence": list(degree_sequence(t)),
-            "segment_sequence": list(segment_sequence(t)),
-            "diameter": diameter(t),
-            "radius": radius(t),
-            "ecc3": list(ecc3),
-            "aecc3": _frac_str(value),
-            "aecc3_decimal": f"{float(value):.6f}",
-            "seed": seed,
-        }
+        doc = {**report, "aecc3": _frac_str(value), "aecc3_decimal": f"{float(value):.6f}",
+               "seed": seed}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(f"n: {t.order}")
-        print(f"degree_sequence: {','.join(map(str, degree_sequence(t)))}")
-        print(f"segment_sequence: {','.join(map(str, segment_sequence(t)))}")
-        print(f"diameter: {diameter(t)}")
-        print(f"radius: {radius(t)}")
-        print(f"ecc3: {','.join(map(str, ecc3))}")
-        print(f"aecc3: {_frac_line(value)}")
+        for key, field in report.items():
+            if isinstance(field, list):
+                field = ",".join(map(str, field))
+            elif isinstance(field, Fraction):
+                field = _frac_line(field)
+            print(f"{key}: {field}")
     return EXIT_OK
 
 
+# Each family: the options it needs, in the order its builder takes them.
+_FAMILIES = {
+    "caterpillar": (("pi",), lambda pi: extremal.caterpillar_from_degree_sequence(
+        _parse_int_seq(pi, "--pi"))),
+    "star": (("segments",), lambda segments: extremal.generalized_star(
+        _parse_int_seq(segments, "--segments"))),
+    "balanced-star": (("n", "m"), extremal.balanced_star),
+    "broom": (("n", "delta"), extremal.broom),
+    "cnk": (("n", "k"), lambda n, k: extremal.uniform_branch_caterpillar(n, 3, k)),
+    "cndk": (("n", "delta", "k"), extremal.uniform_branch_caterpillar),
+}
+
+
 def _cmd_construct(args) -> int:
-    family = args.family
-    if family == "caterpillar":
-        if args.pi is None:
-            raise Infeasible("caterpillar needs --pi")
-        t = extremal.caterpillar_from_degree_sequence(_parse_int_seq(args.pi, "--pi"))
-    elif family == "star":
-        if args.segments is None:
-            raise Infeasible("star needs --segments")
-        t = extremal.generalized_star(_parse_int_seq(args.segments, "--segments"))
-    elif family == "balanced-star":
-        if args.n is None or args.m is None:
-            raise Infeasible("balanced-star needs --n and --m")
-        t = extremal.balanced_star(args.n, args.m)
-    elif family == "broom":
-        if args.n is None or args.delta is None:
-            raise Infeasible("broom needs --n and --delta")
-        t = extremal.broom(args.n, args.delta)
-    elif family == "cnk":
-        if args.n is None or args.k is None:
-            raise Infeasible("cnk needs --n and --k")
-        t = extremal.uniform_branch_caterpillar(args.n, 3, args.k)
-    else:  # cndk
-        if args.n is None or args.delta is None or args.k is None:
-            raise Infeasible("cndk needs --n, --delta and --k")
-        t = extremal.uniform_branch_caterpillar(args.n, args.delta, args.k)
-    text = format_edge_list(t)
+    names, build = _FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        *head, last = [f"--{name}" for name in names]
+        listed = f"{', '.join(head)} and {last}" if head else last
+        raise Infeasible(f"{args.family} needs {listed}")
+    text = format_edge_list(build(*values))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -207,55 +202,50 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _chain_step_doc(out: transforms.TransformOutcome, cumulative: Fraction) -> dict:
-    return {
-        "site": out.description,
-        "aecc3_before": _frac_str(out.aecc3_before),
-        "aecc3_after": _frac_str(out.aecc3_after),
-        "delta": _frac_str(out.delta),
-        "cumulative_delta": _frac_str(cumulative),
-    }
+def _first_move(find, apply, mode: str):
+    """A one-move transform: ``apply`` at the first site ``find`` returns."""
+    def move(t: Tree) -> list[transforms.TransformOutcome]:
+        sites = find(t)
+        if not sites:
+            raise InvalidSite(f"no {mode} site on this tree")
+        return [apply(t, sites[0])]
+    return move
+
+
+# Each mode: the outcomes it yields on a tree, read once, in order.
+_TRANSFORMS = {
+    "sigma": _first_move(transforms.find_sigma_sites, transforms.sigma_transform, "sigma"),
+    "sigma-reduce": lambda t: transforms._chain(t, transforms._caterpillar_step),
+    "pi": _first_move(transforms.find_pi_sites, transforms.pi_transform, "pi"),
+    "star-reduce": lambda t: transforms._chain(t, transforms._star_step),
+    "rebalance": lambda t: [transforms.rebalance_step(t)],
+    "balance": transforms._balance_chain,
+}
 
 
 def _cmd_transform(args) -> int:
     t, seed = _load_tree(args)
-    mode = args.mode
-    if mode == "sigma":
-        sites = transforms.find_sigma_sites(t)
-        if not sites:
-            raise InvalidSite("no sigma site on this tree")
-        chain = [transforms.sigma_transform(t, sites[0])]
-    elif mode == "pi":
-        sites = transforms.find_pi_sites(t)
-        if not sites:
-            raise InvalidSite("no pi site on this tree")
-        chain = [transforms.pi_transform(t, sites[0])]
-    elif mode == "sigma-reduce":
-        chain = transforms.reduce_to_caterpillar(t)
-    elif mode == "star-reduce":
-        chain = transforms.reduce_to_generalized_star(t)
-    elif mode == "rebalance":
-        chain = [transforms.rebalance_step(t)]
-    else:  # balance
-        chain = transforms.balance_generalized_star(t)
-    final = chain[-1].after if chain else t
+    final = t
     steps = []
     cumulative = Fraction(0)
-    for out in chain:
+    # Each outcome is dropped once its step is rendered: one step's trees stay alive.
+    for out in _TRANSFORMS[args.mode](t):
         cumulative += out.delta
-        steps.append(_chain_step_doc(out, cumulative))
+        steps.append({
+            "site": out.description,
+            "aecc3_before": _frac_str(out.aecc3_before),
+            "aecc3_after": _frac_str(out.aecc3_after),
+            "delta": _frac_str(out.delta),
+            "cumulative_delta": _frac_str(cumulative),
+        })
+        final = out.after
     if args.format == "json":
-        doc = {
-            "mode": mode,
-            "n": t.order,
-            "seed": seed,
-            "steps": steps,
-            "final_edges": [list(e) for e in final.edges()],
-        }
+        doc = {"mode": args.mode, "n": t.order, "seed": seed, "steps": steps,
+               "final_edges": [list(e) for e in final.edges()]}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         if not steps:
-            print(f"{mode}: tree already a fixed point; no steps")
+            print(f"{args.mode}: tree already a fixed point; no steps")
         for i, step in enumerate(steps, start=1):
             print(
                 f"step {i}: {step['site']} | aecc3 {step['aecc3_before']} -> "
@@ -294,8 +284,7 @@ def _cmd_majorize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
-    trees = census.enumerate_free_trees(args.n, cap=cap)
+    trees = census.enumerate_free_trees(args.n, cap=_cap(args))
     if args.group is None:
         if args.format == "json":
             doc = {
@@ -326,8 +315,7 @@ def _render_group_key(key) -> str:
 
 
 def _cmd_verify(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
-    report = census.verify(args.theorem, args.n, cap=cap)
+    report = census.verify(args.theorem, args.n, cap=_cap(args))
     if args.format == "json":
         sys.stdout.write(census.report_to_json(report))
     elif args.format == "csv":
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("construct", help="build a named extremal family member")
-    p.add_argument("family", choices=("caterpillar", "star", "balanced-star", "broom", "cnk", "cndk"))
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--pi", help="degree sequence, e.g. 3,3,2,1,1,1,1")
     p.add_argument("--segments", help="leg lengths, e.g. 2,1,1,1,1")
     p.add_argument("--n", type=int)
@@ -370,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("transform", help="apply a move or reduction chain")
-    p.add_argument("mode", choices=("sigma", "sigma-reduce", "pi", "star-reduce", "rebalance", "balance"))
+    p.add_argument("mode", choices=tuple(_TRANSFORMS))
     _add_input_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_transform)

@@ -39,16 +39,25 @@ def check_degree_sequence(pi: Sequence[int]) -> tuple[int, ...]:
     """Validate a tree degree sequence: non-increasing positives summing to 2(n-1)."""
     seq = tuple(pi)
     n = len(seq)
+    if any(type(d) is not int for d in seq):
+        raise InfeasibleSequence(f"sequence {seq} has an entry that is not an int")
     if n < 2:
         raise InfeasibleSequence("a degree sequence has at least two entries")
     for a, b in zip(seq, seq[1:]):
         if a < b:
             raise InfeasibleSequence(f"sequence {seq} is not non-increasing")
-    if any(not isinstance(d, int) or d < 1 for d in seq):
+    if any(d < 1 for d in seq):
         raise InfeasibleSequence(f"sequence {seq} has a non-positive entry")
     if sum(seq) != 2 * (n - 1):
         raise InfeasibleSequence(f"sequence {seq} sums to {sum(seq)}, needs {2 * (n - 1)}")
     return seq
+
+
+def _check_ints(**values) -> None:
+    """Raise Infeasible naming the first value that is not an ``int``; a bool is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise Infeasible(f"{name} must be an int, got {value!r}")
 
 
 def internal_count(pi: Sequence[int]) -> int:
@@ -75,11 +84,10 @@ def caterpillar_from_degree_sequence(
     internals = [d for d in seq if d >= 2]
     k = len(internals)
     if spine_order is not None:
-        if sorted(spine_order) != list(range(k)):
-            raise InfeasibleSequence(
-                f"spine_order must permute 0..{k - 1}, got {tuple(spine_order)}"
-            )
-        internals = [internals[i] for i in spine_order]
+        order = tuple(spine_order)
+        if any(type(i) is not int for i in order) or sorted(order) != list(range(k)):
+            raise InfeasibleSequence(f"spine_order must permute 0..{k - 1}, got {order}")
+        internals = [internals[i] for i in order]
     n = len(seq)
     edges = [(i, i + 1) for i in range(k - 1)]
     next_leaf = k
@@ -98,7 +106,7 @@ def generalized_star(leg_lengths: Sequence[int]) -> Tree:
     result then reports the true (merged) segments, not the input lengths.
     """
     legs = tuple(leg_lengths)
-    if not legs or any(not isinstance(x, int) or x < 1 for x in legs):
+    if not legs or any(type(x) is not int or x < 1 for x in legs):
         raise Infeasible(f"leg lengths {legs} must be positive integers")
     edges = []
     nxt = 1
@@ -113,6 +121,7 @@ def generalized_star(leg_lengths: Sequence[int]) -> Tree:
 
 def balanced_star(n: int, m: int) -> Tree:
     """The balanced generalized star: m legs over n-1 edges, lengths differing by <= 1."""
+    _check_ints(n=n, m=m)
     if not 1 <= m <= n - 1:
         raise Infeasible(f"need 1 <= m <= n-1, got n={n}, m={m}")
     q, r = divmod(n - 1, m)
@@ -125,6 +134,7 @@ def broom(n: int, delta: int) -> Tree:
     The maximizer for trees of order n with maximum degree exactly delta;
     its degree sequence is (delta, 2, ..., 2, 1, ..., 1).
     """
+    _check_ints(n=n, delta=delta)
     if delta < 3:
         raise Infeasible(f"maximum degree must be >= 3, got {delta}")
     if n < delta + 1:
@@ -140,8 +150,8 @@ def uniform_branch_caterpillar(n: int, branch_degree: int, count: int) -> Tree:
     of maximum degree ``branch_degree`` (and, with branch_degree=3, for
     trees with exactly ``count`` vertices of maximum degree).
     """
-    pi = _uniform_branch_sequence(n, branch_degree, count)
-    return caterpillar_from_degree_sequence(pi)
+    _check_ints(n=n, branch_degree=branch_degree, count=count)
+    return caterpillar_from_degree_sequence(_uniform_branch_sequence(n, branch_degree, count))
 
 
 def _uniform_branch_sequence(n: int, delta: int, k: int) -> tuple[int, ...]:
@@ -188,9 +198,8 @@ def family_bound(
     definitions; violations raise Infeasible, and so does an ``n``,
     ``delta`` or ``k`` that is not an ``int`` (a bool included).
     """
-    for name, value in (("n", n), ("delta", delta), ("k", k)):
-        if type(value) is not int and (name == "n" or value is not None):
-            raise Infeasible(f"{name} must be an int, got {value!r}")
+    given = {"delta": delta, "k": k}
+    _check_ints(n=n, **{name: value for name, value in given.items() if value is not None})
     if family == "tn":
         if n < 3:
             raise Infeasible(f"need n >= 3, got {n}")

@@ -21,6 +21,9 @@ to the balanced one without increasing the average.
 
 Every application returns a :class:`TransformOutcome` carrying both trees
 and their exact averages, so monotonicity can be re-audited independently.
+Every chain is one generator, ``_chain``, that yields each outcome as its
+move is made: ``transform`` streams it, keeping one step's trees alive, and
+``reduce_to_*`` and ``balance_generalized_star`` collect it into a list.
 Each move has one route: the chains apply their moves through the public,
 validating :func:`sigma_transform` and :func:`pi_transform`, so every move
 is checked once, at its site. The moved tree is a tree by construction and
@@ -123,13 +126,11 @@ def _outcome(t: Tree, after: Tree, site, description: str) -> TransformOutcome:
     return TransformOutcome(t, after, site, description, aecc3(t), aecc3(after))
 
 
-def _chain(t: Tree, step) -> list[TransformOutcome]:
-    """Apply ``step`` to each result until it returns None."""
-    outcomes = []
+def _chain(t: Tree, step) -> Iterator[TransformOutcome]:
+    """Yield ``step`` of each result in turn until it returns None; only the newest is held."""
     while (out := step(t)) is not None:
-        outcomes.append(out)
+        yield out
         t = out.after
-    return outcomes
 
 
 def _rehang(t: Tree, src: int, dst: int, moved: list[int]) -> Tree:
@@ -221,11 +222,12 @@ def reduce_to_caterpillar(t: Tree) -> list[TransformOutcome]:
     endpoint farther from it receives (smaller endpoint id on ties). Each
     move goes through :func:`sigma_transform`, which validates its site.
     """
-    def step(cur: Tree) -> TransformOutcome | None:
-        site = _caterpillar_reduction_site(cur)
-        return None if site is None else sigma_transform(cur, site)
+    return list(_chain(t, _caterpillar_step))
 
-    return _chain(t, step)
+
+def _caterpillar_step(t: Tree) -> TransformOutcome | None:
+    site = _caterpillar_reduction_site(t)
+    return None if site is None else sigma_transform(t, site)
 
 
 def _caterpillar_reduction_site(t: Tree) -> SigmaSite | None:
@@ -259,9 +261,10 @@ def _validate_pi_site(t: Tree, site: PiSite) -> None:
         raise InvalidSite(str(exc)) from None
     if len(path) < 2:
         raise InvalidSite("pi path needs at least one edge")
+    adj = t.adjacency
     for v in path[1:-1]:
-        if t.degree(v) != 2:
-            raise InvalidSite(f"interior path vertex {v} has degree {t.degree(v)} != 2")
+        if len(adj[v]) != 2:
+            raise InvalidSite(f"interior path vertex {v} has degree {len(adj[v])} != 2")
     donor_ecc, receiver_ecc = _end_heights(t, path)
     if receiver_ecc < donor_ecc:
         raise InvalidSite(
@@ -372,16 +375,17 @@ def reduce_to_generalized_star(t: Tree) -> list[TransformOutcome]:
     (smaller id on ties). The segment sequence is preserved throughout.
     Each move goes through :func:`pi_transform`, which validates its site.
     """
-    def step(cur: Tree) -> TransformOutcome | None:
-        seg = _first_branch_segment(cur)
-        if seg is None:
-            return None
-        e_lo, e_hi = _end_heights(cur, seg)
-        # Donor = shallower side; the segment comes oriented smaller-end first,
-        # so ties donate from the smaller id as-is.
-        return pi_transform(cur, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
+    return list(_chain(t, _star_step))
 
-    return _chain(t, step)
+
+def _star_step(t: Tree) -> TransformOutcome | None:
+    seg = _first_branch_segment(t)
+    if seg is None:
+        return None
+    e_lo, e_hi = _end_heights(t, seg)
+    # Donor = shallower side; the segment comes oriented smaller-end first,
+    # so ties donate from the smaller id as-is.
+    return pi_transform(t, PiSite(seg) if e_lo <= e_hi else PiSite(seg[::-1]))
 
 
 def _first_branch_segment(t: Tree) -> tuple[int, ...] | None:
@@ -440,13 +444,18 @@ def rebalance_step(t: Tree) -> TransformOutcome:
 
 def balance_generalized_star(t: Tree) -> list[TransformOutcome]:
     """Rebalance until all leg lengths differ by at most one."""
+    return list(_balance_chain(t))
+
+
+def _balance_chain(t: Tree) -> Iterator[TransformOutcome]:
+    """The balancing chain; a tree of two branch vertices fails here, before any step."""
     if len(branch_vertices(t)) > 1:
         raise NotGeneralizedStar("input has more than one branch vertex")
+    return _chain(t, _balance_step)
 
-    def step(cur: Tree) -> TransformOutcome | None:
-        try:
-            return rebalance_step(cur)
-        except AlreadyBalanced:
-            return None
 
-    return _chain(t, step)
+def _balance_step(t: Tree) -> TransformOutcome | None:
+    try:
+        return rebalance_step(t)
+    except AlreadyBalanced:
+        return None

@@ -542,8 +542,10 @@ def check_path(t: Tree, p: Sequence[int]) -> tuple[int, ...]:
     path = tuple(p)
     if not path:
         raise InvalidPath("empty path")
+    n = t.order
     for v in path:
-        t.check_vertex(v)
+        if type(v) is not int or not 0 <= v < n:
+            t.check_vertex(v)  # raises, naming v
     if len(set(path)) != len(path):
         raise InvalidPath(f"path {path!r} repeats a vertex")
     for a, b in zip(path, path[1:]):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -382,6 +383,7 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     ("rebalance", path_tree(5), "leg lengths (4,) differ by at most one"),
     ("rebalance", from_edge_list([]), "single vertex has no legs"),
     ("balance", h_tree(), "input has more than one branch vertex"),
+    ("sigma", path_tree(5), "no sigma site on this tree"),
 ])
 def test_transform_errors_exit_4_with_their_text(tmp_path, capsys, mode, tree, message):
     assert main(["transform", mode, "--input", write_tree(tmp_path, tree)]) == 4
@@ -397,6 +399,101 @@ def test_transform_pi_stops_at_the_first_site(tmp_path, capsys):
     (step,) = json.loads(capsys.readouterr().out)["steps"]
     assert step["site"].endswith("along (0, 1)")
     assert elapsed < 10
+
+
+# -- golden front door -------------------------------------------------------------
+
+# SHA-256 of stdout; each run exits 0 with nothing on stderr. STAR names a file
+# holding ``construct star --segments 9,1,1``.
+GOLDEN_STDOUT = {
+    "compute --random 300 --seed 1 --format text":
+        "c5eb021fbcdd999efc8e202f620b99329719c9c067fdd5c71211ba511bf50d07",
+    "compute --random 300 --seed 1 --format json":
+        "16da5706fc5aa6987698157f50baf5c393dcc06386257ebfb0f292701709e136",
+    "construct caterpillar --pi 3,3,2,1,1,1,1":
+        "2e9aed78815f7f5c61c083ce344f42656c8c488cb8ecee91569cfe494e3865c2",
+    "construct balanced-star --n 7 --m 3":
+        "811b8cf106f0ea15326415de6e8954e9981b9263431870680775687db8e46b1f",
+    "construct star --segments 2,1,1,1,1":
+        "a0eeb47f90b1c711e8ed26fc678637fcb98210773df2e16c98f53f0a76464d65",
+    "construct broom --n 7 --delta 3":
+        "187b489deac2e0956e861349ea17bac215774fc26c775842f5a6680a67fb349e",
+    "construct cnk --n 8 --k 2":
+        "b91c7021eeb184fcd85b82dbad43cc8cab1e074570dfd7ec07461f61e0f214e1",
+    "construct cndk --n 10 --delta 4 --k 2":
+        "0984d286179a03c74faa533ce65a730feb4cf51a20d7016a96f01105769f829e",
+    "transform sigma --random 300 --seed 3 --format text":
+        "dcfa3d5cac8492b6decd4135c0fcff0b7b5f540fca6051d12a0f13d3438c5a95",
+    "transform sigma --random 300 --seed 3 --format json":
+        "a8ee715a5d31fe04c55cbcd8a2540a7ae5a6b877c52937536faae8a328fa957a",
+    "transform pi --random 300 --seed 3 --format text":
+        "46aa186598611f0b8e2c901a53684e85897c376a33e28b2c71ff088b43c24389",
+    "transform pi --random 300 --seed 3 --format json":
+        "3dc13b8cc9bb18287119e756d61b48598635f04a2c83fd93e1a4c9b97c179785",
+    "transform sigma-reduce --random 300 --seed 3 --format text":
+        "60b87e3c452e752f273b20c98b0974fb4c8485b26b261376915006c139363a92",
+    "transform sigma-reduce --random 300 --seed 3 --format json":
+        "15c8358543752f247c7e83ad69ea50a8d0a06a72a298b201e62b081093d490b7",
+    "transform star-reduce --random 300 --seed 3 --format text":
+        "4a008230a073fc166277b1310775ad9d2c630708e0bac3d975d889093a4e4e58",
+    "transform star-reduce --random 300 --seed 3 --format json":
+        "fb9556dd7d4e822dac9c065da1b5c6c0c4e0382068dff5be03f3645bf5391bbe",
+    "transform rebalance --input STAR --format text":
+        "e5e4af4c2793599be2a5e0fb4435fa2f75dbf6a9b221fd6a5ff3f43fbcf477db",
+    "transform rebalance --input STAR --format json":
+        "adb8a57e831821f63ea566d2ebbcadbde839abb5cb0cbf5f123fce30dfac64e6",
+    "transform balance --input STAR --format text":
+        "0aae3292b4d74f36e11dcf2cc849b403c6f61f5e0eb0bcb60969220c91ba5e92",
+    "transform balance --input STAR --format json":
+        "b7685bd2fe33f43206d8e89d4539492765f330bef2a625e3dc753f6110928187",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command, tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    assert main(["construct", "star", "--segments", "9,1,1", "--output", str(star)]) == 0
+    assert main([str(star) if a == "STAR" else a for a in command.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["caterpillar"], "caterpillar needs --pi"),
+    (["star"], "star needs --segments"),
+    (["balanced-star", "--n", "7"], "balanced-star needs --n and --m"),
+    (["broom", "--n", "7"], "broom needs --n and --delta"),
+    (["cnk", "--k", "2"], "cnk needs --n and --k"),
+    (["cndk", "--n", "10", "--k", "2"], "cndk needs --n, --delta and --k"),
+])
+def test_construct_missing_flag_names_every_flag(argv, message, capsys):
+    assert main(["construct", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("mode", ["sigma-reduce", "star-reduce"])
+def test_transform_chains_keep_one_tree_alive(mode):
+    """A chain's peak memory stays flat in its length: 2000 vertices fit in 40 MB."""
+    code = (
+        "import contextlib, io, resource\n"
+        "from steiner_ecc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['transform', {mode!r}, '--random', '2000', '--seed', '3']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # ru_maxrss survives fork and exec, so a child of this test process would
+    # report the test's own peak; a fresh, small interpreter starts the child.
+    relay = (f"import subprocess, sys; "
+             f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)")
+    paths = [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", relay], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
 
 
 # -- fuzzing ---------------------------------------------------------------------

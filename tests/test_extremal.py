@@ -30,6 +30,7 @@ from steiner_ecc import (
     segment_sequence,
     uniform_branch_caterpillar,
 )
+from steiner_ecc.extremal import check_degree_sequence
 
 from conftest import brute_aecc3, path_tree, spider, star_tree
 
@@ -216,6 +217,31 @@ class TestClosedFormBound:
     def test_non_integer_parameters_are_infeasible(self, family, n, params):
         with pytest.raises(Infeasible, match="must be an int"):
             family_bound(family, n, **params)
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (check_degree_sequence, [(True, True)], InfeasibleSequence, "not an int"),
+    (check_degree_sequence, [("a", 1)], InfeasibleSequence, "not an int"),
+    (check_degree_sequence, [(2.0, 1, 1)], InfeasibleSequence, "not an int"),
+    (check_degree_sequence, [(1, 1, "a")], InfeasibleSequence, "not an int"),
+    (caterpillar_from_degree_sequence, [(3, 3, 1, 1, 1, 1), (True, False)],
+     InfeasibleSequence, "must permute"),
+    (caterpillar_from_degree_sequence, [(3, 3, 1, 1, 1, 1), ("a", 0)],
+     InfeasibleSequence, "must permute"),
+    (generalized_star, [(True, True)], Infeasible, "positive integers"),
+    (generalized_star, [(2, "a")], Infeasible, "positive integers"),
+    (balanced_star, [5, True], Infeasible, "m must be an int"),
+    (balanced_star, [5.0, 2], Infeasible, "n must be an int"),
+    (broom, [6, 3.0], Infeasible, "delta must be an int"),
+    (broom, [True, 3], Infeasible, "n must be an int"),
+    (uniform_branch_caterpillar, [8, 3, True], Infeasible, "count must be an int"),
+    (uniform_branch_caterpillar, [8, "3", 1], Infeasible, "branch_degree must be an int"),
+    (uniform_branch_caterpillar, [None, 3, 1], Infeasible, "n must be an int"),
+])
+def test_non_int_inputs_are_infeasible(func, args, error, message):
+    """Every input check takes ints only, bool excluded, and raises a package error."""
+    with pytest.raises(error, match=message):
+        func(*args)
 
 
 class TestMajorization:

@@ -598,6 +598,13 @@ class TestPathOperations:
         with pytest.raises(ValueError):
             path_eccentricity(t, (1, 2, 1))
 
+    @pytest.mark.parametrize("p, bad", [
+        ((0, True, 2), True), ((0, 1, 4, 3), 4), ((1, -1, 0), -1), ((0, 1.0, 2), 1.0),
+    ])
+    def test_bad_id_in_mid_path_rejected(self, p, bad):
+        with pytest.raises(BadVertexIds, match=rf"^vertex id {bad!r} not in 0\.\.3$"):
+            check_path(path_tree(4), p)
+
 
 def _segments_by_definition(t):
     """Paths between two vertices of degree other than 2 with only degree-2 interiors."""
